@@ -23,23 +23,11 @@ from .simulate import (
     simulate_pattern,
 )
 from .io_aiger import read_aiger, write_aag, write_aig
-from .snapshot import (
-    AigSnapshot,
-    SharedSnapshotBase,
-    SnapshotDelta,
-    attach_shared,
-    capture_delta,
-    shared_memory_available,
-)
+from .snapshot import AigSnapshot
 
 __all__ = [
     "Aig",
     "AigSnapshot",
-    "SharedSnapshotBase",
-    "SnapshotDelta",
-    "attach_shared",
-    "capture_delta",
-    "shared_memory_available",
     "KIND_AND",
     "KIND_CONST",
     "KIND_DEAD",

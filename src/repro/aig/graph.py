@@ -25,7 +25,7 @@ are maintained eagerly.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Set, Tuple
 
 from ..errors import AigError
 from .literals import (
@@ -78,16 +78,6 @@ class Aig:
         self._stamp_counter = 0
         self.generation = 0
         self.name = ""
-
-        # Mutation journal: every change to a node's snapshot-visible
-        # state (kind/fanins/nref/level/stamp/life) appends the var id.
-        # ``mutation_epoch`` is the monotonic length of this journal
-        # (plus a base offset so epochs survive trims and copies);
-        # ``dirty_since(epoch)`` answers "which vars changed" in
-        # O(changes), which is what makes incremental snapshot deltas
-        # cheap on deep circuits (see :mod:`repro.aig.snapshot`).
-        self._mutation_log: List[int] = []
-        self._epoch_base = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -185,41 +175,6 @@ class Aig:
         validity is keyed to this."""
         return self._life[var]
 
-    @property
-    def mutation_epoch(self) -> int:
-        """Monotonic mutation counter: bumps on every change to any
-        node's snapshot-visible state.  Equal epochs guarantee equal
-        snapshot content; the counter never decreases, not even across
-        :meth:`copy` or :meth:`trim_mutation_log`."""
-        return self._epoch_base + len(self._mutation_log)
-
-    def dirty_since(self, epoch: int) -> Optional[Set[int]]:
-        """Vars whose snapshot-visible state changed after ``epoch``.
-
-        Returns ``None`` when ``epoch`` predates the retained journal
-        (after a trim or a copy) — the caller must fall back to a full
-        recapture.  Cost is O(changes since epoch), not O(graph)."""
-        index = epoch - self._epoch_base
-        if index < 0:
-            return None
-        if index >= len(self._mutation_log):
-            return set()
-        return set(self._mutation_log[index:])
-
-    def trim_mutation_log(self, epoch: int) -> None:
-        """Forget journal entries at or before ``epoch`` (callers that
-        snapshot the graph never need deltas older than their base).
-        ``dirty_since`` answers ``None`` for pre-trim epochs."""
-        index = epoch - self._epoch_base
-        if index <= 0:
-            return
-        index = min(index, len(self._mutation_log))
-        del self._mutation_log[:index]
-        self._epoch_base += index
-
-    def _touch(self, var: int) -> None:
-        self._mutation_log.append(var)
-
     def max_level(self) -> int:
         """Depth of the circuit: maximum level over the PO cones."""
         best = 0
@@ -276,7 +231,6 @@ class Aig:
         var = lit_var(lit)
         self._po_refs.setdefault(var, set()).add(index)
         self._nref[var] += 1
-        self._touch(var)
         return index
 
     def set_po(self, index: int, lit: int) -> None:
@@ -290,12 +244,10 @@ class Aig:
             if not refs:
                 del self._po_refs[old_var]
         self._nref[old_var] -= 1
-        self._touch(old_var)
         self._pos[index] = lit
         var = lit_var(lit)
         self._po_refs.setdefault(var, set()).add(index)
         self._nref[var] += 1
-        self._touch(var)
         self._deref_delete(old_var)
 
     def and_(self, f0: int, f1: int) -> int:
@@ -361,7 +313,6 @@ class Aig:
         # free a merge target before its pair is processed.
         stack = [(old_var, new_lit)]
         self._nref[new_lit >> 1] += 1
-        self._touch(new_lit >> 1)
         while stack:
             ov, nl = stack.pop()
             nv = nl >> 1
@@ -369,7 +320,6 @@ class Aig:
                 if nv == ov and lit_compl(nl) and self._kind[ov] != KIND_DEAD:
                     raise AigError(f"replacing node {ov} by its own complement")
                 self._nref[nv] -= 1
-                self._touch(nv)
                 self._deref_delete(nv)
                 continue
             if self._kind[nv] == KIND_DEAD:
@@ -380,7 +330,6 @@ class Aig:
             self._redirect(ov, nl, stack)
             self._deref_delete(ov)
             self._nref[nv] -= 1
-            self._touch(nv)
             self._deref_delete(nv)
         self.generation += 1
 
@@ -436,7 +385,6 @@ class Aig:
     def _bump_stamp(self, var: int) -> None:
         self._stamp_counter += 1
         self._stamp[var] = self._stamp_counter
-        self._touch(var)
 
     def _new_and(self, f0: int, f1: int) -> int:
         # Precondition: f0 < f1, no trivial folding applies, both alive.
@@ -446,8 +394,6 @@ class Aig:
         v0, v1 = f0 >> 1, f1 >> 1
         self._nref[v0] += 1
         self._nref[v1] += 1
-        self._touch(v0)
-        self._touch(v1)
         self._fanouts[v0].add(var)
         self._fanouts[v1].add(var)
         self._level[var] = max(self._level[v0], self._level[v1]) + 1
@@ -477,14 +423,12 @@ class Aig:
                 # released when it is deleted).
                 stack.append((f, folded))
                 self._nref[folded >> 1] += 1  # protection reference
-                self._touch(folded >> 1)
                 continue
             a, b = (nf0, nf1) if nf0 < nf1 else (nf1, nf0)
             hit = self._strash.get((a, b), -1)
             if hit >= 0 and hit != f:
                 stack.append((f, make_lit(hit)))
                 self._nref[hit] += 1  # protection reference
-                self._touch(hit)
                 continue
             # In-place fanin update with rehash.
             del self._strash[self._fanin_key(f)]
@@ -493,10 +437,8 @@ class Aig:
                     continue
                 old_v, new_v = old_f >> 1, new_f >> 1
                 self._nref[old_v] -= 1
-                self._touch(old_v)
                 self._fanouts[old_v].discard(f)
                 self._nref[new_v] += 1
-                self._touch(new_v)
                 self._fanouts[new_v].add(f)
                 if side == 0:
                     self._fanin0[f] = new_f
@@ -525,7 +467,6 @@ class Aig:
             if new_level == self._level[v]:
                 continue
             self._level[v] = new_level
-            self._touch(v)
             queue.extend(self._fanouts[v])
 
     def _deref_delete(self, var: int) -> None:
@@ -540,7 +481,6 @@ class Aig:
             for fl in (self._fanin0[v], self._fanin1[v]):
                 fv = fl >> 1
                 self._nref[fv] -= 1
-                self._touch(fv)
                 self._fanouts[fv].discard(v)
                 if self._nref[fv] == 0 and self._kind[fv] == KIND_AND:
                     stack.append(fv)
@@ -566,13 +506,11 @@ class Aig:
         if self._kind[var] == KIND_DEAD:
             raise AigError(f"cannot protect dead node {var}")
         self._nref[var] += 1
-        self._touch(var)
 
     def drop_ref(self, var: int) -> None:
         """Release a protection reference taken by :meth:`add_ref`,
         deleting the node if it is now unreferenced."""
         self._nref[var] -= 1
-        self._touch(var)
         self._deref_delete(var)
 
     def delete_if_dangling(self, var: int) -> None:
@@ -598,22 +536,10 @@ class Aig:
     # ------------------------------------------------------------------
 
     def copy(self) -> "Aig":
-        """Deep structural copy (compacts away dead slots).
-
-        The copy's ``mutation_epoch`` continues from the source's: a
-        snapshot delta keyed to a pre-copy epoch can never be mistaken
-        for fresh (``dirty_since`` answers ``None``, forcing the safe
-        full recapture) even though copying renumbers every node."""
+        """Deep structural copy (compacts away dead slots)."""
         other = Aig()
         other.name = self.name
-        mapping = self.copy_into(other)
-        del mapping
-        # Strictly above every epoch the original ever handed out:
-        # copy_into renumbers nodes compactly, so a snapshot captured
-        # from the original must never alias an epoch of the copy (it
-        # would accept a delta computed against different node ids).
-        other._epoch_base = max(self.mutation_epoch, other.mutation_epoch) + 1
-        other._mutation_log = []
+        self.copy_into(other)
         return other
 
     def copy_into(self, other: "Aig") -> Dict[int, int]:

@@ -4,6 +4,11 @@ Implements the combinational subset of the AIGER 1.9 format: latches
 are rejected (the paper's flow is purely combinational).  The binary
 writer re-numbers nodes topologically as the format requires
 (each AND's literal must exceed both fanin literals).
+
+The reader treats its input as hostile: any malformed file —
+truncated, non-ASCII, non-numeric, out-of-range or inconsistent —
+raises :class:`~repro.errors.AigerFormatError`, never a bare
+``ValueError``/``IndexError``/``UnicodeDecodeError``.
 """
 
 from __future__ import annotations
@@ -72,7 +77,10 @@ def read_aiger(path: PathOrFile) -> Aig:
         fmt = header[0]
         if fmt == b"aag":
             fh.seek(0)
-            text = fh.read().decode("ascii")
+            try:
+                text = fh.read().decode("ascii")
+            except UnicodeDecodeError as exc:
+                raise AigerFormatError(f"non-ASCII byte in .aag file: {exc}")
             return _parse_aag(text)
         if fmt == b"aig":
             return _parse_binary(header, fh)
@@ -123,13 +131,17 @@ def _read_delta(fh: BinaryIO) -> int:
         shift += 7
 
 
+def _parse_int(token, what: str) -> int:
+    """A non-negative decimal literal or count (``bytes`` or ``str``)."""
+    if not token.isdigit():
+        raise AigerFormatError(f"bad {what}: {token!r}")
+    return int(token)
+
+
 def _parse_header_counts(parts: List[bytes]) -> Tuple[int, int, int, int, int]:
     if len(parts) < 6:
         raise AigerFormatError(f"short AIGER header: {parts!r}")
-    try:
-        m, i, l, o, a = (int(p) for p in parts[1:6])
-    except ValueError as exc:
-        raise AigerFormatError(f"bad AIGER header: {parts!r}") from exc
+    m, i, l, o, a = (_parse_int(p, "AIGER header field") for p in parts[1:6])
     if l != 0:
         raise AigerFormatError("latches are not supported (combinational only)")
     if m < i + a:
@@ -142,20 +154,23 @@ def _parse_aag(text: str) -> Aig:
     if not lines:
         raise AigerFormatError("empty AIGER file")
     m, i, _, o, a = _parse_header_counts([p.encode() for p in lines[0].split()])
+    if len(lines) < 1 + i + o + a:
+        raise AigerFormatError(
+            f"truncated .aag file: {len(lines) - 1} lines after the "
+            f"header, {i + o + a} declared"
+        )
     aig = Aig()
     lit_map: Dict[int, int] = {0: 0}
     cursor = 1
-    declared_inputs: List[int] = []
     for _ in range(i):
-        lit = int(lines[cursor])
+        lit = _parse_int(lines[cursor].strip(), "input literal")
         cursor += 1
-        if lit & 1 or lit == 0:
+        if lit & 1 or lit == 0 or lit in lit_map:
             raise AigerFormatError(f"bad input literal {lit}")
-        declared_inputs.append(lit)
         lit_map[lit] = aig.add_pi()
     po_lits = []
     for _ in range(o):
-        po_lits.append(int(lines[cursor]))
+        po_lits.append(_parse_int(lines[cursor].strip(), "output literal"))
         cursor += 1
     pending: List[Tuple[int, int, int]] = []
     for _ in range(a):
@@ -163,7 +178,8 @@ def _parse_aag(text: str) -> Aig:
         cursor += 1
         if len(parts) != 3:
             raise AigerFormatError(f"bad AND line: {lines[cursor - 1]!r}")
-        pending.append((int(parts[0]), int(parts[1]), int(parts[2])))
+        lhs, rhs0, rhs1 = (_parse_int(p, "AND literal") for p in parts)
+        pending.append((lhs, rhs0, rhs1))
     _build_ands(aig, lit_map, pending)
     for lit in po_lits:
         aig.add_po(_resolve(lit, lit_map))
@@ -181,15 +197,15 @@ def _parse_binary(header: List[bytes], fh: BinaryIO) -> Aig:
         line = fh.readline()
         if not line:
             raise AigerFormatError("truncated binary AIGER outputs")
-        po_lits.append(int(line))
+        po_lits.append(_parse_int(line.strip(), "output literal"))
     for k in range(a):
         lhs = 2 * (i + 1 + k)
         delta0 = _read_delta(fh)
         delta1 = _read_delta(fh)
         rhs0 = lhs - delta0
         rhs1 = rhs0 - delta1
-        if rhs1 < 0:
-            raise AigerFormatError(f"negative literal in AND {lhs}")
+        if delta0 == 0 or rhs1 < 0:
+            raise AigerFormatError(f"bad fanin deltas in AND {lhs}")
         lit_map[lhs] = aig.and_(_resolve(rhs0, lit_map), _resolve(rhs1, lit_map))
     for lit in po_lits:
         aig.add_po(_resolve(lit, lit_map))
@@ -203,8 +219,10 @@ def _build_ands(aig: Aig, lit_map: Dict[int, int], pending: List[Tuple[int, int,
         progressed = False
         deferred: List[Tuple[int, int, int]] = []
         for lhs, rhs0, rhs1 in remaining:
-            if lhs & 1:
-                raise AigerFormatError(f"odd AND literal {lhs}")
+            if lhs & 1 or lhs < 2:
+                raise AigerFormatError(f"bad AND literal {lhs}")
+            if lhs in lit_map:
+                raise AigerFormatError(f"literal {lhs} defined twice")
             if (rhs0 & ~1) in lit_map or rhs0 <= 1:
                 ready0 = True
             else:

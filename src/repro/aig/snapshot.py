@@ -1,11 +1,12 @@
 """Immutable array-based snapshot of an AIG for cross-process reads.
 
-The lock-free evaluation stage only ever *reads* the graph: fanins,
-reference counts, levels, stamps and strash probes.  ``AigSnapshot``
-captures exactly that read surface into flat numpy arrays — one
-``O(size)`` copy on the parent, a compact pickle over the process
-boundary, and zero shared mutable state on the workers (the paper's
-"thread-local copies" discipline taken across address spaces).
+Shard workers of the process executor only ever *read* the parent
+graph, and so does the lock-free evaluation stage: fanins, reference
+counts, levels, stamps and strash probes.  ``AigSnapshot`` captures
+exactly that read surface into flat numpy arrays — one ``O(size)``
+copy on the parent, a compact pickle over the process boundary, and
+zero shared mutable state on the workers (the paper's "thread-local
+copies" discipline taken across address spaces).
 
 The class mirrors the read API of :class:`~repro.aig.graph.Aig`
 (``is_and``/``is_dead``/``fanins``/``nref``/``level``/``stamp``/
@@ -17,25 +18,11 @@ exist; an attempt to mutate is an :class:`AttributeError` by design.
 The strash table is *not* pickled: it is rebuilt lazily from the fanin
 arrays on first :meth:`has_and` probe in the consuming process, which
 keeps the payload to a handful of primitive arrays.
-
-Two mechanisms keep repeated hand-offs cheap:
-
-* **Deltas** — every snapshot records the :attr:`Aig.mutation_epoch`
-  it was captured at.  :func:`capture_delta` (or the bound
-  :meth:`AigSnapshot.delta_since`) packages only the slots touched
-  since that epoch; :meth:`AigSnapshot.apply_delta` patches a base
-  snapshot into the newer one without re-copying the whole graph.
-* **Shared memory** — :class:`SharedSnapshotBase` publishes a base
-  snapshot's arrays into one ``multiprocessing.shared_memory`` segment
-  so workers can :func:`attach_shared` by name instead of unpickling
-  hundreds of kilobytes per stage.
 """
 
 from __future__ import annotations
 
-import atexit
-import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -43,8 +30,7 @@ from ..errors import AigError
 from .graph import KIND_AND, KIND_CONST, KIND_DEAD, KIND_PI, Aig, _KIND_NAMES
 
 #: (attribute name, numpy dtype) of every per-node array in a snapshot,
-#: in pickling/shipping order.  Deltas and shared-memory segments both
-#: iterate this table so the three representations cannot drift.
+#: in pickling order; :meth:`AigSnapshot.columns` follows it too.
 _NODE_FIELDS: Tuple[Tuple[str, str], ...] = (
     ("_kind", "int8"),
     ("_fanin0", "int64"),
@@ -62,7 +48,7 @@ class AigSnapshot:
     __slots__ = (
         "_kind", "_fanin0", "_fanin1", "_nref", "_level", "_stamp",
         "_life", "_pis", "_pos", "_num_ands", "generation", "name",
-        "epoch", "_strash", "_shm", "_columns",
+        "_strash", "_columns",
     )
 
     def __init__(
@@ -79,7 +65,6 @@ class AigSnapshot:
         num_ands: int,
         generation: int,
         name: str,
-        epoch: int = 0,
     ):
         self._kind = kind
         self._fanin0 = fanin0
@@ -93,9 +78,7 @@ class AigSnapshot:
         self._num_ands = num_ands
         self.generation = generation
         self.name = name
-        self.epoch = epoch
         self._strash: Optional[Dict[Tuple[int, int], int]] = None
-        self._shm = None
         self._columns: Optional[Tuple[list, ...]] = None
 
     @classmethod
@@ -114,7 +97,6 @@ class AigSnapshot:
             num_ands=aig.num_ands,
             generation=aig.generation,
             name=aig.name,
-            epoch=aig.mutation_epoch,
         )
 
     # -- pickling ------------------------------------------------------
@@ -123,63 +105,17 @@ class AigSnapshot:
         return (
             self._kind, self._fanin0, self._fanin1, self._nref, self._level,
             self._stamp, self._life, self._pis, self._pos, self._num_ands,
-            self.generation, self.name, self.epoch,
+            self.generation, self.name,
         )
 
     def __setstate__(self, state) -> None:
         (
             self._kind, self._fanin0, self._fanin1, self._nref, self._level,
             self._stamp, self._life, self._pis, self._pos, self._num_ands,
-            self.generation, self.name, self.epoch,
+            self.generation, self.name,
         ) = state
         self._strash = None
-        self._shm = None
         self._columns = None
-
-    # -- deltas --------------------------------------------------------
-
-    def delta_since(self, aig: Aig) -> Optional["SnapshotDelta"]:
-        """Delta bringing this snapshot up to ``aig``'s current state.
-
-        Returns None when ``aig`` can no longer answer for this
-        snapshot's epoch (journal trimmed, or the graph is a ``copy()``
-        that restarted its journal) — the caller must fall back to a
-        full :meth:`capture`.
-        """
-        return capture_delta(aig, self.epoch)
-
-    def apply_delta(self, delta: "SnapshotDelta") -> "AigSnapshot":
-        """Return a **new** snapshot with ``delta`` patched in.
-
-        Snapshots are immutable (and may be shared-memory backed), so
-        patching always copies the per-node arrays.
-        """
-        if delta.base_epoch != self.epoch:
-            raise AigError(
-                f"delta base epoch {delta.base_epoch} does not match "
-                f"snapshot epoch {self.epoch}"
-            )
-        size = delta.size
-        if size < self.size:
-            raise AigError("snapshot slot arrays never shrink")
-        idx = delta.vars
-        arrays = {}
-        for pos, (field, dtype) in enumerate(_NODE_FIELDS):
-            base = getattr(self, field)
-            out = np.zeros(size, dtype=np.dtype(dtype))
-            out[: len(base)] = base
-            if idx.size:
-                out[idx] = delta.fields[pos]
-            arrays[field.lstrip("_")] = out
-        return AigSnapshot(
-            pis=delta.pis,
-            pos=delta.pos,
-            num_ands=delta.num_ands,
-            generation=delta.generation,
-            name=delta.name,
-            epoch=delta.epoch,
-            **arrays,
-        )
 
     # -- read API (mirrors Aig) ----------------------------------------
 
@@ -285,221 +221,8 @@ class AigSnapshot:
             self._strash = strash
         return strash
 
-    def release(self) -> None:
-        """Detach from a shared-memory segment, if attached."""
-        shm = self._shm
-        if shm is not None:
-            self._shm = None
-            try:
-                shm.close()
-            except OSError:  # pragma: no cover - platform specific
-                pass
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"AigSnapshot(name={self.name!r}, gen={self.generation}, "
             f"pis={self.num_pis}, pos={self.num_pos}, ands={self.num_ands})"
         )
-
-
-class SnapshotDelta:
-    """The slots touched between two mutation epochs of one graph.
-
-    Per-node state is shipped sparsely (``vars`` plus one value column
-    per array in :data:`_NODE_FIELDS`); the small whole-graph scalars
-    (PIs/POs/counters/name) are shipped in full — they are a few dozen
-    ints, not worth diffing.
-    """
-
-    __slots__ = (
-        "base_epoch", "epoch", "vars", "fields", "size",
-        "pis", "pos", "num_ands", "generation", "name",
-    )
-
-    def __init__(
-        self,
-        base_epoch: int,
-        epoch: int,
-        vars: np.ndarray,
-        fields: Tuple[np.ndarray, ...],
-        size: int,
-        pis: Tuple[int, ...],
-        pos: Tuple[int, ...],
-        num_ands: int,
-        generation: int,
-        name: str,
-    ):
-        self.base_epoch = base_epoch
-        self.epoch = epoch
-        self.vars = vars
-        self.fields = fields
-        self.size = size
-        self.pis = pis
-        self.pos = pos
-        self.num_ands = num_ands
-        self.generation = generation
-        self.name = name
-
-    @property
-    def num_dirty(self) -> int:
-        return int(self.vars.size)
-
-    def __getstate__(self):
-        return (
-            self.base_epoch, self.epoch, self.vars, self.fields, self.size,
-            self.pis, self.pos, self.num_ands, self.generation, self.name,
-        )
-
-    def __setstate__(self, state) -> None:
-        (
-            self.base_epoch, self.epoch, self.vars, self.fields, self.size,
-            self.pis, self.pos, self.num_ands, self.generation, self.name,
-        ) = state
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SnapshotDelta({self.base_epoch}->{self.epoch}, "
-            f"dirty={self.num_dirty}/{self.size})"
-        )
-
-
-def capture_delta(aig: Aig, base_epoch: int) -> Optional[SnapshotDelta]:
-    """Package the slots of ``aig`` touched since ``base_epoch``.
-
-    Returns None when the graph's mutation journal no longer reaches
-    back to ``base_epoch`` (trimmed, or a fresh ``copy()``); callers
-    recapture in full.  An empty delta (no mutations) is still a valid
-    delta — applying it only bumps the epoch.
-    """
-    dirty = aig.dirty_since(base_epoch)
-    if dirty is None:
-        return None
-    order = sorted(dirty)
-    fields = []
-    for field, dtype in _NODE_FIELDS:
-        column = getattr(aig, field)
-        fields.append(np.array([column[v] for v in order], dtype=np.dtype(dtype)))
-    return SnapshotDelta(
-        base_epoch=base_epoch,
-        epoch=aig.mutation_epoch,
-        vars=np.array(order, dtype=np.int64),
-        fields=tuple(fields),
-        size=aig.size,
-        pis=aig.pis,
-        pos=aig.pos,
-        num_ands=aig.num_ands,
-        generation=aig.generation,
-        name=aig.name,
-    )
-
-
-# -- shared-memory backing ---------------------------------------------
-
-
-def shared_memory_available() -> bool:
-    """True when ``multiprocessing.shared_memory`` can be used here."""
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - always present on CPython 3.8+
-        return False
-    return True
-
-
-#: Every live parent-side shared segment, so an abnormal interpreter
-#: exit (unhandled exception past the executor, SIGTERM-triggered
-#: atexit) still unlinks them instead of leaking /dev/shm space until
-#: reboot.  Weak references: a normally close()d base just drops out.
-_LIVE_SHARED_BASES: "weakref.WeakSet[SharedSnapshotBase]" = weakref.WeakSet()
-
-
-@atexit.register
-def _unlink_live_shared_bases() -> None:  # pragma: no cover - exit hook
-    for base in list(_LIVE_SHARED_BASES):
-        base.close()
-
-
-class SharedSnapshotBase:
-    """Parent-side owner of a snapshot published to shared memory.
-
-    All per-node arrays are packed back to back into one named
-    segment; :attr:`handle` is the tiny picklable descriptor a worker
-    feeds to :func:`attach_shared`.  The parent keeps the segment alive
-    until :meth:`close` (which also unlinks it); segments still live at
-    interpreter exit are unlinked by the :mod:`atexit` finalizer.
-    """
-
-    def __init__(self, snapshot: AigSnapshot):
-        from multiprocessing import shared_memory
-
-        arrays = [(field, getattr(snapshot, field)) for field, _ in _NODE_FIELDS]
-        total = sum(arr.nbytes for _, arr in arrays)
-        self._shm = shared_memory.SharedMemory(create=True, size=max(1, total))
-        layout: List[Tuple[str, int, str, Tuple[int, ...]]] = []
-        offset = 0
-        for field, arr in arrays:
-            view = np.ndarray(arr.shape, dtype=arr.dtype,
-                              buffer=self._shm.buf, offset=offset)
-            view[:] = arr
-            layout.append((field, offset, str(arr.dtype), arr.shape))
-            offset += arr.nbytes
-        self.nbytes = total
-        _LIVE_SHARED_BASES.add(self)
-        self.handle = (
-            self._shm.name,
-            tuple(layout),
-            snapshot.pis,
-            snapshot.pos,
-            snapshot.num_ands,
-            snapshot.generation,
-            snapshot.name,
-            snapshot.epoch,
-        )
-
-    def close(self) -> None:
-        """Release and unlink the segment (idempotent)."""
-        _LIVE_SHARED_BASES.discard(self)
-        shm = self._shm
-        if shm is None:
-            return
-        self._shm = None
-        try:
-            shm.close()
-            shm.unlink()
-        except (OSError, FileNotFoundError):  # pragma: no cover
-            pass
-
-    def __del__(self):  # pragma: no cover - GC safety net
-        self.close()
-
-
-def attach_shared(handle) -> AigSnapshot:
-    """Worker-side attach to a :class:`SharedSnapshotBase` handle.
-
-    The returned snapshot's arrays are read-only views over the shared
-    segment; it keeps the ``SharedMemory`` object alive on ``_shm`` and
-    must be :meth:`AigSnapshot.release`-d before being dropped.
-    """
-    from multiprocessing import shared_memory
-
-    (shm_name, layout, pis, pos, num_ands, generation, name, epoch) = handle
-    # Pool workers are forked, so they share the parent's resource
-    # tracker: this attach-side register is a set no-op there, and the
-    # parent's close()/unlink() removes the one shared registration.
-    shm = shared_memory.SharedMemory(name=shm_name)
-    arrays = {}
-    for field, offset, dtype, shape in layout:
-        view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf,
-                          offset=offset)
-        view.flags.writeable = False
-        arrays[field.lstrip("_")] = view
-    snapshot = AigSnapshot(
-        pis=pis,
-        pos=pos,
-        num_ands=num_ands,
-        generation=generation,
-        name=name,
-        epoch=epoch,
-        **arrays,
-    )
-    snapshot._shm = shm
-    return snapshot

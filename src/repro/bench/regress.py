@@ -16,7 +16,7 @@ Two pieces:
 Deltas are relative — ``(current - baseline) / baseline`` — so one
 threshold covers metrics of very different magnitudes.  Metrics
 missing from either report (older baselines predate some sections,
-and ``reduction`` can legitimately be ``None``) are reported as
+and a speedup can legitimately be ``None``) are reported as
 skipped rather than failed: the comparison is a ratchet on what both
 runs measured, not a schema check.
 """
@@ -29,20 +29,17 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 #: Tracked metrics: (dotted path into the report, direction).
-#: Direction ``higher`` = bigger is better (throughput, speedup,
-#: reduction); ``lower`` = smaller is better (overhead ratios).
+#: Direction ``higher`` = bigger is better (throughput, speedup);
+#: ``lower`` = smaller is better (overhead ratios, area gap).
 TRACKED_METRICS: Tuple[Tuple[str, str], ...] = (
     ("npn_canon.lut_lookups_per_second", "higher"),
     ("npn_canon.speedup", "higher"),
     ("cut_enumeration.cuts_per_second", "higher"),
     ("cut_enumeration.speedup", "higher"),
     ("eval_stage.simulated_nodes_per_second", "higher"),
-    ("eval_stage.process_nodes_per_second", "higher"),
-    ("eval_stage.multijob_nodes_per_second", "higher"),
     ("batch_eval.batch_nodes_per_second", "higher"),
     ("batch_eval.speedup", "higher"),
     ("degraded_eval.overhead_ratio", "lower"),
-    ("snapshot_delta.reduction", "higher"),
     ("sharded_rewrite.sharded_nodes_per_second", "higher"),
     ("sharded_rewrite.speedup_at_4", "higher"),
     ("sharded_qor.area_gap_pct", "lower"),

@@ -14,9 +14,9 @@ trace-event format — open in Perfetto), ``--events out.jsonl`` (JSONL
 stream), ``--metrics out.prom`` (Prometheus text), ``--json``
 (machine-readable result on stdout) and ``--progress`` (live status
 line on stderr).  Simulated-clock trace timestamps are work units, so
-a re-run with the same inputs is byte-identical; with ``--executor
-process`` the trace additionally carries real wall-clock tracks (one
-per pool-worker pid, in a separate Chrome-trace ``pid`` group so the
+a re-run with the same inputs is byte-identical; a sharded run with
+``--executor process`` additionally carries real wall-clock tracks
+(one per pool-worker pid, in a separate Chrome-trace ``pid`` group so the
 two clock domains stay apart in one Perfetto view).  ``bench``
 appends each run to ``BENCH_history.jsonl`` and ``bench --compare
 BASELINE.json`` exits nonzero on regressions past ``--threshold``.
@@ -133,12 +133,6 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
         config_updates["columnar_eval"] = False
     if args.scalar_enum:
         config_updates["columnar_enum"] = False
-    if args.no_shm:
-        config_updates["shared_memory"] = False
-    if args.no_enum_fanout:
-        config_updates["enum_fanout"] = False
-    if args.delta_max_fraction is not None:
-        config_updates["delta_max_fraction"] = args.delta_max_fraction
     if args.chunk_timeout is not None:
         config_updates["chunk_timeout_seconds"] = (
             args.chunk_timeout if args.chunk_timeout > 0 else None
@@ -201,8 +195,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     engine = make_engine(args.engine, workers=args.workers, observer=obs)
     if args.executor is not None and hasattr(engine, "executor_kind"):
         engine.executor_kind = args.executor
-    if args.jobs is not None and hasattr(engine, "jobs"):
-        engine.jobs = args.jobs
     result = engine.run(aig)
     print(result.summary())
     stats = getattr(engine, "last_stats", None)
@@ -281,12 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_rw.add_argument(
         "--executor", default=None, choices=sorted(EXECUTOR_KINDS),
         help="execution backend: 'simulated' is the deterministic "
-             "instrument, 'process' evaluates on real cores",
+             "instrument, 'process' rewrites the shards of a sharded "
+             "run (--shards) on real cores",
     )
     p_rw.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="OS worker processes for --executor process "
-             "(default: core count)",
+        help="OS worker processes the shards of --executor process "
+             "spread over (default: core count)",
     )
     p_rw.add_argument(
         "--shards", type=int, default=None, metavar="N",
@@ -327,21 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
              "against)",
     )
     p_rw.add_argument(
-        "--no-shm", action="store_true",
-        help="ship base snapshots by pickle instead of "
-             "multiprocessing.shared_memory (--executor process)",
-    )
-    p_rw.add_argument(
-        "--no-enum-fanout", action="store_true",
-        help="keep cut enumeration in-parent; only evaluation fans out "
-             "(--executor process)",
-    )
-    p_rw.add_argument(
-        "--delta-max-fraction", type=float, default=None, metavar="F",
-        help="recapture the snapshot in full once more than F of the "
-             "node slots changed since the base (default 0.25)",
-    )
-    p_rw.add_argument(
         "--chunk-timeout", type=float, default=None, metavar="SECONDS",
         help="deadline per fanned-out chunk; a chunk past it is "
              "computed in-parent and the wedged pool restarted "
@@ -349,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rw.add_argument(
         "--chunk-retries", type=int, default=None, metavar="N",
-        help="resubmissions per failed chunk before it is split and "
-             "eventually quarantined (default 2; --executor process)",
+        help="resubmissions per failed chunk before it is "
+             "quarantined (default 2; --executor process)",
     )
     p_rw.add_argument(
         "--pool-restart-budget", type=int, default=None, metavar="N",
@@ -388,12 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--workers", type=int, default=None)
     p_prof.add_argument(
         "--executor", default=None, choices=sorted(EXECUTOR_KINDS),
-        help="execution backend; 'process' adds a pool wall-clock "
-             "breakdown to the profile",
-    )
-    p_prof.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="OS worker processes for --executor process",
+        help="execution backend (the profile covers the level "
+             "pipeline, which every executor runs in-process or on "
+             "threads)",
     )
     p_prof.set_defaults(func=_cmd_profile)
 
@@ -436,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit nonzero unless the machine-independent invariants "
              "hold (NPN LUT beats scalar, batch eval >=2x scalar and "
              "identical, columnar cut enumeration >=2x scalar and "
-             "identical, snapshot deltas >=5x smaller, sharded rewrite "
-             "and sharded QoR runs functionally equivalent to base)",
+             "identical, sharded rewrite and sharded QoR runs "
+             "functionally equivalent to base)",
     )
     p_bench.add_argument(
         "--compare", metavar="BASELINE.json", default=None,
@@ -494,11 +469,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     ev = report["eval_stage"]
     print(
-        f"eval-stage: simulated {ev['simulated_nodes_per_second']:.0f} nodes/s, "
-        f"process {ev['process_nodes_per_second']:.0f} nodes/s "
-        f"(jobs={ev['jobs']}), "
-        f"{ev['multijob_nodes_per_second']:.0f} nodes/s "
-        f"(jobs={ev['multijob_jobs']})"
+        f"eval-stage: simulated {ev['simulated_nodes_per_second']:.0f} nodes/s"
     )
     be = report["batch_eval"]
     print(
@@ -514,13 +485,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"{deg['healthy_seconds']:.3f}s ({deg['overhead_ratio']}x, "
         f"{deg['chunk_retries']} retries, {deg['pool_restarts']} pool "
         f"restarts, {deg['chunk_fallbacks']} fallbacks)"
-    )
-    snap = report["snapshot_delta"]
-    print(
-        f"snapshot-delta: {snap['full_bytes_per_stage']:.0f} B/stage full vs "
-        f"{snap['delta_bytes_per_stage']:.0f} B/stage delta "
-        f"(reduction {snap['reduction']:.1f}x, "
-        f"{snap['recaptures']}/{snap['stages']} recaptures)"
     )
     shr = report["sharded_rewrite"]
     curve = " ".join(
@@ -573,13 +537,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(
             f"CHECK FAILED: columnar cut enumeration not >=2x faster "
             f"than scalar (speedup {cuts['speedup']}x)",
-            file=sys.stderr,
-        )
-        return 1
-    if args.check and (snap["reduction"] is None or snap["reduction"] < 5.0):
-        print(
-            f"CHECK FAILED: snapshot deltas not >=5x smaller than full "
-            f"recapture (reduction {snap['reduction']}x)",
             file=sys.stderr,
         )
         return 1

@@ -32,32 +32,20 @@ class RewriteConfig:
     workers: int = 1
     seed: int = 0
     # Execution backend: 'simulated' (deterministic instrument),
-    # 'process' (wall-clock multi-core eval), 'threaded', 'serial'.
+    # 'process' (shards of a sharded run on a worker pool; the level
+    # pipeline stays in-process), 'threaded', 'serial'.
     executor: str = "simulated"
-    # OS worker processes for the process executor; None = core count.
-    # Independent of ``workers`` (the logical parallelism model).
+    # OS worker processes the process executor spreads shards over;
+    # None = core count.  Independent of ``workers`` (the logical
+    # parallelism model).
     jobs: Optional[int] = None
-    # Process-executor snapshot hand-off: ship per-stage deltas against
-    # a cached base snapshot, recapturing in full once more than this
-    # fraction of node slots changed since the base (0.0 = always
-    # recapture, 1.0 = never).
-    delta_max_fraction: float = 0.25
-    # Publish the base snapshot via multiprocessing.shared_memory so
-    # workers attach by name instead of unpickling it; falls back to
-    # pickle transparently where shared memory is unavailable.
-    shared_memory: bool = True
-    # Fan the cut-enumeration stage out through the process pool too
-    # (evaluation always fans out); results are replayed through the
-    # simulated scheduler either way, so this only affects wall-clock.
-    enum_fanout: bool = True
     # Deadline for one fanned-out chunk: a chunk that outlives it is
     # computed in-parent and the (presumed wedged) pool is restarted.
-    # None disables the deadline (a hung worker then hangs the stage).
+    # None disables the deadline (a hung worker then hangs the run).
     chunk_timeout_seconds: Optional[float] = 300.0
     # Failed chunks (worker raised, corrupted result, died with the
     # pool) are resubmitted up to this many times with capped
-    # exponential backoff, then split in half; a chunk that survives
-    # splitting too is quarantined and computed in-parent.
+    # exponential backoff, then quarantined and computed in-parent.
     chunk_max_retries: int = 2
     # BrokenProcessPool recoveries allowed per run before the
     # remaining chunks degrade to in-parent computation.
@@ -128,8 +116,6 @@ class RewriteConfig:
             raise ConfigError(f"unknown executor {self.executor!r}")
         if self.jobs is not None and self.jobs < 1:
             raise ConfigError("jobs must be >= 1 or None")
-        if not 0.0 <= self.delta_max_fraction <= 1.0:
-            raise ConfigError("delta_max_fraction must be within [0, 1]")
         if self.chunk_timeout_seconds is not None and \
                 self.chunk_timeout_seconds <= 0:
             raise ConfigError(

@@ -22,12 +22,7 @@ from ..library import StructureLibrary, get_library
 from ..obs.observer import NULL_OBSERVER, Observer
 from ..rewrite.result import RewriteResult
 from ..config import RewriteConfig, dacpara_config
-from .operators import (
-    StageContext,
-    make_enum_operator,
-    make_eval_operator,
-    make_replace_operator,
-)
+from .operators import StageContext, make_replace_operator
 from .partition import node_dividing
 
 
@@ -94,25 +89,14 @@ class DACParaRewriter:
                 return sharded
         config = self.config
         obs = self.obs
-        executor = make_executor(
-            self.executor_kind, config.workers, observer=obs, jobs=self.jobs
-        )
-        # Every executor now evaluates natively through the columnar
-        # batch engine (results replay byte-identically either way).
-        # Fan-out executors recreate the library lookup inside workers
-        # via ``get_library()``, so a custom library keeps those on the
-        # generic operator path; in-process executors score against
-        # ``self.library`` directly and take any library.
-        native_eval = getattr(executor, "supports_native_eval", False) and (
-            not getattr(executor, "native_eval_needs_default_library", True)
-            or self.library is get_library()
-        )
-        # Native enumeration needs no library: every executor batches
-        # the merges through the columnar cut kernels (the process
-        # executor additionally fans them out when ``enum_fanout`` is
-        # on) and replays byte-identically, so this only moves merge
-        # work onto kernels and worker cores.
-        native_enum = getattr(executor, "supports_native_enum", False)
+        # The process executor only fans out shards (run_sharded above);
+        # the level pipeline it would run is the simulated executor's,
+        # so an unsharded process run is a simulated run and starts no
+        # pool.
+        kind = self.executor_kind
+        if kind == "process":
+            kind = "simulated"
+        executor = make_executor(kind, config.workers, observer=obs)
         result = RewriteResult(
             engine=self.name,
             workers=config.workers,
@@ -129,9 +113,10 @@ class DACParaRewriter:
             aig=aig, cutman=cutman, library=self.library, config=config,
             validate=self.validate, observer=obs,
         )
-        enum_op = make_enum_operator(ctx)
-        eval_op = make_eval_operator(ctx)
         replace_op = make_replace_operator(ctx)
+        # ``prep_info`` is replaced per worklist, so its counts are
+        # summed here as each worklist finishes.
+        attempted = 0
 
         run_span = None
         if obs.enabled:
@@ -170,17 +155,15 @@ class DACParaRewriter:
                             size=len(live),
                         )
                         obs.observe("worklist_occupancy", len(live))
-                    if native_enum:
-                        executor.run_enum("enum", live, ctx)
-                    else:
-                        executor.run("enum", live, enum_op)
-                    if native_eval:
-                        executor.run_eval("eval", live, ctx)
-                    else:
-                        executor.run("eval", live, eval_op)
+                    # Both read stages batch through the columnar
+                    # kernels and replay through the executor's
+                    # scheduler (see repro.rewrite.columnar).
+                    executor.run_enum("enum", live, ctx)
+                    executor.run_eval("eval", live, ctx)
                     pending = [v for v in live if ctx.prep_info.get(v) is not None]
                     if pending:
                         executor.run("replace", pending, replace_op)
+                    attempted += ctx.prep_info.stored + ctx.prep_info.skipped
                     if obs.enabled:
                         obs.end(wl_span, executor.now, pending=len(pending))
                 if obs.enabled:
@@ -212,7 +195,7 @@ class DACParaRewriter:
         result.area_after = aig.num_ands
         result.delay_after = aig.max_level()
         result.replacements = ctx.replacements
-        result.attempted = ctx.prep_info.stored + ctx.prep_info.skipped
+        result.attempted = attempted
         result.validation_failures = ctx.validation_failures
         result.revalidated = ctx.validation_stats.reenumerated
         stats = executor.stats

@@ -12,8 +12,8 @@ This module runs divide-and-conquer one level up:
    nodes become pseudo-PIs) and the *entire*
    enumerate/evaluate/replace level pipeline runs on it — on pool
    workers via :meth:`~repro.galois.procpool.ProcessExecutor.run_shards`
-   (the graph ships once as a shared-memory snapshot; each shard task
-   is only its var lists), or sequentially in-parent for the
+   (each shard chunk carries the graph snapshot, pickled once per
+   pass, plus its var lists), or sequentially in-parent for the
    in-process executors;
 3. results come back as renumbered node lists and are spliced into the
    parent graph through :func:`~repro.core.validation.
@@ -294,10 +294,9 @@ def run_sharded(rewriter, aig: Aig) -> Optional[RewriteResult]:
         )
 
     # Pool workers rebuild the structure library via get_library(), so
-    # a custom library keeps the whole fan-out in-parent (same rule as
-    # the native eval stage).  One executor serves every pass: the
-    # snapshot shipper sends deltas between passes and fault-plan chunk
-    # coordinates stay cumulative.
+    # a custom library keeps the whole fan-out in-parent.  One executor
+    # serves every pass, so fault-plan chunk coordinates stay
+    # cumulative.
     use_pool = (
         rewriter.executor_kind == "process"
         and rewriter.library is get_library()

@@ -1,66 +1,58 @@
-"""Process-pool executor: true multi-core wall-clock for the read stages.
+"""Process-pool executor: whole shards on real cores.
 
-The paper's argument (Section 4.3) is that evaluation — >90 % of
-rewrite runtime — is embarrassingly parallel: it only *reads* the
-shared graph and writes disjoint ``prepInfo`` slots.  Cut enumeration
-is read-only over the stage-start graph too.  The GIL keeps the
-threaded executor from cashing that in; this executor does it with
-``concurrent.futures.ProcessPoolExecutor``:
+The parallel unit that pays for a process boundary is a coarse,
+conflict-free partition, not a per-level worklist: shipping graph
+state and cut sets to a pool once per worklist costs more than the
+read stages it would spread.  So ``executor_kind="process"`` means
+*fan out shards*:
 
-1. the parent ships the worklist's shared read state as a
-   :class:`~repro.aig.snapshot.AigSnapshot` — a full capture only when
-   it must (first stage of a run, or after heavy mutation), otherwise
-   an incremental :class:`~repro.aig.snapshot.SnapshotDelta` against a
-   base snapshot the workers cache per run (optionally published once
-   through ``multiprocessing.shared_memory`` so even the base costs
-   only a handle over the pipe);
-2. node chunks fan out to a persistent worker pool — evaluation tasks
-   carry each root's enumerated cut set, enumeration tasks carry the
-   fanin cut sets harvested from the cut manager;
-3. returned candidates / cut sets are merged on the parent by
-   **replaying** them through the inherited simulated scheduler with
-   the workers' reported per-node costs.
+* the level pipeline runs in-process: the DACPara rewriter runs an
+  unsharded process run on the simulated executor itself, so it never
+  starts a pool and is byte-identical to a simulated run, stats and
+  trace included (:meth:`ProcessExecutor.run_enum` and
+  :meth:`ProcessExecutor.run_eval` take the same batched in-process
+  path for callers that drive stages directly);
+* :meth:`ProcessExecutor.run_shards` ships every shard of a sharded
+  pass (:mod:`repro.core.shards`) to a persistent worker pool as one
+  chunk.  Each chunk carries one self-contained payload: the graph's
+  :class:`~repro.aig.snapshot.AigSnapshot`, pickled once per fan-out,
+  plus the shard's var lists.  Workers keep no state between chunks,
+  so there is no worker cache to miss, no shared memory and no
+  multiprocessing resource tracker.
 
-Step 3 is what makes ``executor_kind="process"`` produce *byte-
-identical* results, stats and traces to ``"simulated"``: evaluation
-and enumeration costs are data-driven (structures evaluated per cut,
-merge pairs per node), independent of where the computation physically
-ran, so the replay reconstructs the exact simulated timeline while the
-heavy lifting happened on real cores.  Replacement runs on the
-inherited simulated path — graph mutation semantics are untouched.
+Paper-faithful per-level parallelism is modelled by the simulated
+executor (:mod:`repro.galois.simsched`), whose work-unit timeline is
+what every executor reports.
 
 When the platform cannot spawn processes (restricted sandboxes), the
-executor falls back to computing chunks in-parent — same results, no
+executor falls back to computing shards in-parent — same results, no
 parallelism — and says so via ``warnings`` once *per run* (each
 executor instance carries a run id, so two runs in one interpreter
 each report their own fallback).
 
-Fault tolerance is *chunk-grained*, not stage-grained: a chunk that
-raises, returns a corrupted result, or times out is retried with
-capped exponential backoff, split in half on repeated failure, and —
-only as a last resort — computed in-parent and recorded on the
-executor's quarantine list, while every other chunk of the fan-out
-still completes on worker cores.  A dead pool (``BrokenProcessPool``)
-is restarted up to ``config.pool_restart_budget`` times instead of
-being abandoned for the rest of the run.  Because every recovery path
-reproduces the exact values a healthy worker would have returned (the
-merge is keyed by root and replayed through the simulated scheduler),
-results stay byte-identical to ``executor_kind="simulated"`` under any
-combination of faults.
+Fault tolerance is *chunk-grained*: a chunk that raises, returns a
+corrupted result, or times out is retried with capped exponential
+backoff and — only as a last resort — computed in-parent and recorded
+on the executor's quarantine list, while every other chunk of the
+fan-out still completes on worker cores.  A dead pool
+(``BrokenProcessPool``) is restarted up to
+``config.pool_restart_budget`` times instead of being abandoned for
+the rest of the run.  The per-shard rewrite is deterministic, so every
+recovery path reproduces the exact payload a healthy worker would
+have returned and sharded results stay byte-identical across
+executors under any combination of faults.
 
-Observability is dual-clock.  The replayed simulated timeline stays
-byte-identical to ``executor_kind="simulated"``; *physical* time is
-captured separately: when a tracing observer is attached (and
-``config.wall_telemetry`` is on), every chunk carries a
+Observability is dual-clock.  When a tracing observer is attached
+(and ``config.wall_telemetry`` is on), every chunk carries a
 :class:`~repro.obs.wall.ChunkTelemetry` record back from its worker —
-wall-clock spans for snapshot patch and compute, merged parent-side
-with the submit/receive timestamps into per-pid tracks on the
-observer's :class:`~repro.obs.collect.WallTimeline`, along with
-``chunk_wall_seconds{stage,phase}`` histograms, pool occupancy gauges,
-fault instants and a bounded flight-recorder ring dumped on
-quarantine or pool restart.  With the no-op observer none of this is
-allocated: telemetry is side-channel only and results never depend on
-it.
+wall-clock spans for snapshot unpickling (``patch``) and compute,
+merged parent-side with the submit/receive timestamps into per-pid
+tracks on the observer's :class:`~repro.obs.collect.WallTimeline`,
+along with ``chunk_wall_seconds{stage,phase}`` histograms, pool
+occupancy gauges, fault instants and a bounded flight-recorder ring
+dumped on quarantine or pool restart.  With the no-op observer none of
+this is allocated: telemetry is side-channel only and results never
+depend on it.
 
 For testing those paths there is a fault-injection hook: the
 ``REPRO_FAULT_PLAN`` environment variable (or ``config.fault_plan``)
@@ -69,9 +61,11 @@ holds entries ``mode@stage:chunk[:fires]`` separated by ``,`` or
 ``hang`` (sleep past any deadline), ``raise`` (raise
 :class:`InjectedFault`) or ``corrupt`` (return a mangled result list),
 ``stage``/``chunk`` select the fan-out coordinates (``*`` matches
-any), and ``fires`` bounds how many submissions trigger it (default
-1).  The directive is armed by the parent per submission and executed
-worker-side, so retries of an already-fired coordinate run clean.
+any; shard chunks are stage ``shard``, numbered cumulatively across
+seam-rotation passes), and ``fires`` bounds how many submissions
+trigger it (default 1).  The directive is armed by the parent per
+submission and executed worker-side, so retries of an already-fired
+coordinate run clean.
 """
 
 from __future__ import annotations
@@ -82,9 +76,9 @@ import pickle
 import signal
 import time
 import warnings
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import TimeoutError as _FuturesTimeout
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - present on every supported CPython
     from concurrent.futures.process import BrokenProcessPool as _BrokenPool
@@ -92,25 +86,11 @@ except ImportError:  # pragma: no cover
     class _BrokenPool(RuntimeError):
         pass
 
-from ..aig.snapshot import (
-    AigSnapshot,
-    SharedSnapshotBase,
-    shared_memory_available,
-    attach_shared,
-)
+from ..aig.snapshot import AigSnapshot
 from ..obs.observer import Observer
 from ..obs.wall import ChunkTelemetry
-from .activity import Phase
 from .simsched import SimulatedExecutor
 from .stats import StageStats
-
-#: Worklists smaller than this are evaluated in-parent: the snapshot
-#: pickle plus IPC round-trip costs more than the evaluation itself.
-MIN_FANOUT = 16
-
-#: Base snapshots a worker process keeps cached (one per concurrent
-#: run id); old runs are evicted LRU and their shm segments detached.
-_WORKER_CACHE_LIMIT = 4
 
 #: Capped exponential backoff between retry rounds of failed chunks:
 #: RETRY_BACKOFF_BASE * 2**min(attempts, RETRY_BACKOFF_CAP_EXP)
@@ -118,11 +98,6 @@ _WORKER_CACHE_LIMIT = 4
 RETRY_BACKOFF_BASE = 0.02
 RETRY_BACKOFF_CAP_EXP = 4
 RETRY_BACKOFF_MAX = 0.25
-
-#: A chunk that keeps failing is split in half at most this many times
-#: before its pieces are quarantined; bounds the number of doomed
-#: submissions a poison chunk can cost to O(2**depth * retries).
-MAX_SPLIT_DEPTH = 2
 
 #: How long an injected ``hang`` fault sleeps worker-side.  Must only
 #: exceed any chunk deadline under test; the wedged worker is reaped
@@ -144,20 +119,14 @@ def default_jobs() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-class SnapshotCacheMiss(Exception):
-    """A worker was handed an ``assume-cached`` snapshot ref it does
-    not hold (fresh worker, evicted entry).  The parent catches this
-    per-chunk and resubmits with a full payload."""
-
-
 class InjectedFault(RuntimeError):
     """Raised worker-side by a ``raise`` entry of the fault plan."""
 
 
 class ChunkResultError(Exception):
     """A worker returned a result list that does not answer the tasks
-    it was handed (wrong length, wrong roots, wrong shape) — treated
-    exactly like a worker-side exception: retry, split, quarantine."""
+    it was handed (wrong length, wrong keys, wrong shape) — treated
+    exactly like a worker-side exception: retry, then quarantine."""
 
 
 class FaultPlan:
@@ -235,7 +204,7 @@ def _execute_fault(mode: str) -> None:
 
 def _corrupt_results(results: List[tuple]) -> List[tuple]:
     """The ``corrupt`` fault: mangle a chunk's result list in ways the
-    parent-side validator must catch (wrong root, missing entry)."""
+    parent-side validator must catch (wrong key, missing entry)."""
     if not results:
         return [(0, None, 0)]
     mangled = list(results)
@@ -247,9 +216,10 @@ def _corrupt_results(results: List[tuple]) -> List[tuple]:
 def _validate_chunk(tasks: Sequence[tuple], results: object) -> List[tuple]:
     """Check a worker's answer actually answers ``tasks``.
 
-    The merge is keyed by root, so an undetected misalignment would
-    silently corrupt the replay; shape mismatches instead surface as
-    :class:`ChunkResultError` and take the retry path.
+    The merge is keyed by each task's first element, so an undetected
+    misalignment would silently splice the wrong payload; shape
+    mismatches instead surface as :class:`ChunkResultError` and take
+    the retry path.
     """
     if not isinstance(results, list) or len(results) != len(tasks):
         raise ChunkResultError(
@@ -259,7 +229,7 @@ def _validate_chunk(tasks: Sequence[tuple], results: object) -> List[tuple]:
     for task, entry in zip(tasks, results):
         if not isinstance(entry, tuple) or len(entry) != 3 or entry[0] != task[0]:
             raise ChunkResultError(
-                f"chunk result {entry!r} does not answer task root {task[0]}"
+                f"chunk result {entry!r} does not answer task {task[0]}"
             )
     return results
 
@@ -267,10 +237,8 @@ def _validate_chunk(tasks: Sequence[tuple], results: object) -> List[tuple]:
 class _MetricCollector(Observer):
     """Order-insensitive metric sink used inside pool workers.
 
-    Counters and histogram observations recorded against the snapshot
-    are replayed into the parent's observer after the fan-in, so a
-    process run reports the same ``npn_class_hits_total``/
-    ``cuts_per_node``/``gain`` metrics a simulated run does.
+    Counters and histogram observations recorded worker-side are
+    replayed into the parent's observer after the fan-in.
     """
 
     enabled = True
@@ -301,207 +269,18 @@ class _MetricCollector(Observer):
 
 
 # ---------------------------------------------------------------------------
-# Worker-side snapshot cache
+# Worker side
 # ---------------------------------------------------------------------------
-
-#: run id -> cached *base* snapshot (epoch = the ref's base_epoch).
-_WORKER_BASES: "OrderedDict[str, AigSnapshot]" = OrderedDict()
-#: run id -> (stage epoch, patched snapshot) — memoizes the delta
-#: application across the chunks of one stage landing on one worker.
-_WORKER_STAGES: Dict[str, Tuple[int, AigSnapshot]] = {}
-
-
-def _store_worker_base(run_id: str, snapshot: AigSnapshot) -> None:
-    old = _WORKER_BASES.pop(run_id, None)
-    if old is not None:
-        old.release()
-    _WORKER_BASES[run_id] = snapshot
-    _WORKER_STAGES.pop(run_id, None)
-    while len(_WORKER_BASES) > _WORKER_CACHE_LIMIT:
-        evicted_id, evicted = _WORKER_BASES.popitem(last=False)
-        evicted.release()
-        _WORKER_STAGES.pop(evicted_id, None)
-
-
-def _resolve_snapshot(ref, collector: _MetricCollector) -> AigSnapshot:
-    """Materialize the snapshot a stage ref describes, using (and
-    filling) this worker's per-run base cache."""
-    run_id, base_epoch, epoch, base_kind, base_payload, delta_blob = ref
-    base = _WORKER_BASES.get(run_id)
-    if base is not None and base.epoch == base_epoch:
-        _WORKER_BASES.move_to_end(run_id)
-        collector.count("worker_snapshot_cache_hits_total")
-    else:
-        if base_kind == "pickle":
-            base = pickle.loads(base_payload)
-        elif base_kind == "shm":
-            base = attach_shared(base_payload)
-        else:  # "cached": the parent assumed we hold it — we do not
-            raise SnapshotCacheMiss(run_id, base_epoch)
-        collector.count("worker_snapshot_cache_misses_total")
-        _store_worker_base(run_id, base)
-    if delta_blob is None:
-        return base
-    staged = _WORKER_STAGES.get(run_id)
-    if staged is not None and staged[0] == epoch:
-        return staged[1]
-    snapshot = base.apply_delta(pickle.loads(delta_blob))
-    _WORKER_STAGES[run_id] = (epoch, snapshot)
-    return snapshot
-
-
-# ---------------------------------------------------------------------------
-# Worker entry points
-# ---------------------------------------------------------------------------
-
-
-def _eval_tasks(aig_like, tasks, config, collector) -> List[Tuple[int, object, int]]:
-    """Evaluate each (root, cuts) task against a read-only AIG view.
-
-    Runs identically against a live :class:`Aig` (in-parent fallback)
-    or an :class:`AigSnapshot` (worker side).  Returns
-    ``(root, candidate-or-None, work-units)`` triples; units are the
-    same structure-evaluation counts the simulated eval operator
-    charges, which is what lets the parent replay the timeline.
-
-    By default the chunk is scored through the columnar batch engine
-    (:mod:`repro.rewrite.columnar` — numpy kernels directly over the
-    snapshot arrays, no per-node method dispatch); ``config.
-    columnar_eval = False`` keeps the per-candidate scalar loop, the
-    batch engine's differential oracle.  Both produce byte-identical
-    triples and metrics.
-    """
-    from ..library import get_library
-
-    if config.columnar_eval:
-        from ..rewrite.columnar import eval_tasks_columnar
-
-        return eval_tasks_columnar(
-            aig_like, tasks, config, get_library(), observer=collector
-        )
-    return _eval_tasks_scalar(aig_like, tasks, config, collector, get_library())
-
-
-def _eval_tasks_scalar(
-    aig_like, tasks, config, collector, library
-) -> List[Tuple[int, object, int]]:
-    """The scalar evaluation loop (the columnar engine's oracle)."""
-    from ..rewrite.base import WorkMeter, best_candidate_over_cuts
-
-    out: List[Tuple[int, object, int]] = []
-    for root, cuts in tasks:
-        if aig_like.is_dead(root):
-            out.append((root, None, -1))  # sentinel: skip entirely
-            continue
-        meter = WorkMeter()
-        candidate = best_candidate_over_cuts(
-            aig_like, root, cuts, library, config, meter, observer=collector
-        )
-        out.append((root, candidate, meter.units))
-    return out
-
-
-def _enum_tasks(aig_like, tasks, config, collector) -> List[Tuple[int, object, int]]:
-    """Merge each harvested ``(root, f0, f1, c0_all, c1_all)`` task.
-
-    Like :func:`_eval_tasks`, runs identically against a live
-    :class:`Aig` (per-chunk in-parent fallback) or an
-    :class:`AigSnapshot` (worker side): the merge is the byte-identical
-    :meth:`~repro.cuts.manager.CutManager.merge_fanin_sets` either way,
-    so the returned ``(root, cuts, pairs)`` triples replay exactly.
-    Truth-table expansion memo hits are reported under worker-specific
-    counter names — the memo is per-chunk here but global in a
-    simulated run, so the raw counts legitimately differ.  The merge
-    engine follows ``config.columnar_enum``: the whole chunk through
-    one :meth:`~repro.cuts.manager.CutManager.merge_tasks_columnar`
-    kernel invocation, or the scalar per-root oracle.
-    """
-    from ..cuts.manager import CutManager
-
-    cutman = CutManager(
-        aig_like, k=config.cut_size, max_cuts=config.max_cuts,
-        columnar=config.columnar_enum,
-    )
-    out: List[Tuple[int, object, int]] = []
-    if config.columnar_enum:
-        out.extend(cutman.merge_tasks_columnar(tasks, observer=collector))
-    else:
-        for root, f0, f1, c0_all, c1_all in tasks:
-            before = cutman.work
-            cuts = cutman.merge_fanin_sets(root, f0, f1, c0_all, c1_all)
-            out.append((root, cuts, cutman.work - before))
-    if cutman.cache_hits:
-        collector.count("worker_cut_tt_cache_hits_total", cutman.cache_hits)
-    if cutman.cache_misses:
-        collector.count("worker_cut_tt_cache_misses_total", cutman.cache_misses)
-    if cutman.expand_evictions:
-        collector.count("worker_cut_expand_cache_evictions_total",
-                        cutman.expand_evictions)
-    if cutman.vec_pairs:
-        collector.count("enum_vectorized_pairs_total", cutman.vec_pairs)
-    if cutman.fallback_pairs:
-        collector.count("enum_scalar_fallback_total", cutman.fallback_pairs)
-    return out
-
-
-def _begin_telemetry(telemetry, tasks) -> Optional[ChunkTelemetry]:
-    """Open this chunk's wall-clock record (worker side), if the
-    parent asked for one.  ``telemetry`` is ``(stage, chunk, attempt)``
-    — the fan-out coordinates only the parent knows — or None when the
-    observer is the no-op (zero records are then ever allocated)."""
-    if telemetry is None:
-        return None
-    stage, chunk, attempt = telemetry
-    tele = ChunkTelemetry.begin(stage, chunk, attempt, tasks=len(tasks))
-    tele.enter("patch")
-    return tele
-
-
-def _eval_chunk(ref, tasks, config, fault: Optional[str] = None,
-                telemetry: Optional[tuple] = None):
-    """Worker entry point: resolve the snapshot, evaluate one chunk."""
-    if fault is not None:
-        _execute_fault(fault)
-    tele = _begin_telemetry(telemetry, tasks)
-    collector = _MetricCollector()
-    snapshot = _resolve_snapshot(ref, collector)
-    if tele is not None:
-        tele.enter("compute")
-    out = _eval_tasks(snapshot, tasks, config, collector)
-    if fault == "corrupt":
-        out = _corrupt_results(out)
-    if tele is not None:
-        tele.done(results=len(out))
-    return out, collector, tele
-
-
-def _enum_chunk(ref, tasks, config, fault: Optional[str] = None,
-                telemetry: Optional[tuple] = None):
-    """Worker entry point for enumeration: merge harvested fanin cut
-    sets against the snapshot."""
-    if fault is not None:
-        _execute_fault(fault)
-    tele = _begin_telemetry(telemetry, tasks)
-    collector = _MetricCollector()
-    snapshot = _resolve_snapshot(ref, collector)
-    if tele is not None:
-        tele.enter("compute")
-    out = _enum_tasks(snapshot, tasks, config, collector)
-    if fault == "corrupt":
-        out = _corrupt_results(out)
-    if tele is not None:
-        tele.done(results=len(out))
-    return out, collector, tele
 
 
 def _shard_tasks(aig_like, tasks, config, collector) -> List[Tuple[int, object, int]]:
     """Run the full rewrite pipeline on each ``(index, shard)`` task.
 
-    Like the eval/enum twins, runs identically against the live graph
-    (in-parent fallback) or a snapshot (worker side): the per-shard
-    rewrite is deterministic, so every recovery path reproduces the
-    exact payload a healthy worker would have returned.  Returns
-    ``(index, payload, work-units)`` triples.
+    Runs identically against the live graph (in-parent fallback) or a
+    snapshot (worker side): the per-shard rewrite is deterministic, so
+    every recovery path reproduces the exact payload a healthy worker
+    would have returned.  Returns ``(index, payload, work-units)``
+    triples.
     """
     from ..core.shards import rewrite_shard
 
@@ -513,15 +292,24 @@ def _shard_tasks(aig_like, tasks, config, collector) -> List[Tuple[int, object, 
     return out
 
 
-def _shard_chunk(ref, tasks, config, fault: Optional[str] = None,
+def _shard_chunk(blob: bytes, tasks, config, fault: Optional[str] = None,
                  telemetry: Optional[tuple] = None):
-    """Worker entry point for shard fan-out: resolve the snapshot and
-    run the whole pipeline on each shard of the chunk."""
+    """Worker entry point: unpickle the fan-out's snapshot and run the
+    whole pipeline on each shard of the chunk.
+
+    ``telemetry`` is ``(stage, chunk, attempt)`` — the fan-out
+    coordinates only the parent knows — or None when the observer is
+    the no-op (no record is then ever allocated).
+    """
     if fault is not None:
         _execute_fault(fault)
-    tele = _begin_telemetry(telemetry, tasks)
+    tele = None
+    if telemetry is not None:
+        stage, chunk, attempt = telemetry
+        tele = ChunkTelemetry.begin(stage, chunk, attempt, tasks=len(tasks))
+        tele.enter("patch")
     collector = _MetricCollector()
-    snapshot = _resolve_snapshot(ref, collector)
+    snapshot = pickle.loads(blob)
     if tele is not None:
         tele.enter("compute")
     out = _shard_tasks(snapshot, tasks, config, collector)
@@ -545,163 +333,16 @@ def _warm_shared_state(config) -> None:
     config.allowed_classes  # forces the class-set (and canon) tables
 
 
-# ---------------------------------------------------------------------------
-# Parent-side snapshot shipping
-# ---------------------------------------------------------------------------
-
-
-class _SnapshotShipper:
-    """Decides, per stage, how the graph state reaches the workers.
-
-    Keeps the current *base* snapshot (plus its optional shared-memory
-    publication and lazily-built full pickle) and emits one of three
-    ref kinds:
-
-    * ``full``   — rebase: fresh capture, shipped whole (pickle blob or
-      shm handle); chosen on the first stage and whenever the delta
-      would exceed ``config.delta_max_fraction`` of the node slots (or
-      the graph's journal no longer reaches the base epoch);
-    * ``delta``  — the common case: a pickled
-      :class:`~repro.aig.snapshot.SnapshotDelta` plus a tiny base ref;
-    * ``cached`` — nothing changed since the base: base ref only.
-
-    A ref is a picklable tuple
-    ``(run_id, base_epoch, stage_epoch, base_kind, base_payload,
-    delta_blob)`` resolved worker-side by :func:`_resolve_snapshot`.
-    """
-
-    def __init__(self, run_id: str):
-        self.run_id = run_id
-        self.base: Optional[AigSnapshot] = None
-        self._shared: Optional[SharedSnapshotBase] = None
-        self._base_blob: Optional[bytes] = None
-        self._stage_epoch: Optional[int] = None
-        self._stage_delta_blob: Optional[bytes] = None
-
-    # -- base management ----------------------------------------------
-
-    def _rebase(self, aig, config) -> None:
-        self.release()
-        self.base = AigSnapshot.capture(aig)
-        # The journal before the new base epoch can never be asked for
-        # again (deltas are always relative to the current base).
-        aig.trim_mutation_log(self.base.epoch)
-        if config.shared_memory and shared_memory_available():
-            try:
-                self._shared = SharedSnapshotBase(self.base)
-            except (OSError, ValueError):  # pragma: no cover - platform
-                self._shared = None
-
-    def _base_ref(self) -> Tuple[str, object]:
-        """Cheapest way a worker can (re)acquire the current base."""
-        if self._shared is not None:
-            return "shm", self._shared.handle
-        return "cached", None
-
-    def _full_blob(self) -> bytes:
-        if self._base_blob is None:
-            self._base_blob = pickle.dumps(
-                self.base, protocol=pickle.HIGHEST_PROTOCOL
-            )
-        return self._base_blob
-
-    def release(self) -> None:
-        """Drop the base and unlink its shared segment (idempotent)."""
-        if self._shared is not None:
-            self._shared.close()
-            self._shared = None
-        self.base = None
-        self._base_blob = None
-        self._stage_epoch = None
-        self._stage_delta_blob = None
-
-    # -- per-stage refs -----------------------------------------------
-
-    def stage_ref(self, aig, config) -> Tuple[tuple, int, str, float]:
-        """Returns ``(ref, ref_bytes, kind, delta_ratio)`` for the
-        current graph state."""
-        epoch = aig.mutation_epoch
-        delta = None
-        if self.base is not None:
-            dirty = aig.dirty_since(self.base.epoch)
-            if dirty is not None and (
-                len(dirty) <= config.delta_max_fraction * max(1, aig.size)
-            ):
-                if epoch == self.base.epoch:
-                    self._stage_epoch, self._stage_delta_blob = epoch, None
-                    kind, payload = self._base_ref()
-                    ref = (self.run_id, self.base.epoch, epoch, kind, payload, None)
-                    return ref, _ref_nbytes(ref), "cached", 0.0
-                delta = self.base.delta_since(aig)
-        if delta is None:
-            self._rebase(aig, config)
-            self._stage_epoch, self._stage_delta_blob = self.base.epoch, None
-            if self._shared is not None:
-                kind, payload = "shm", self._shared.handle
-            else:
-                kind, payload = "pickle", self._full_blob()
-            ref = (self.run_id, self.base.epoch, self.base.epoch, kind, payload, None)
-            return ref, _ref_nbytes(ref), "full", 1.0
-        if epoch == self._stage_epoch and self._stage_delta_blob is not None:
-            # Same graph state as the previous stage (enum → eval with
-            # no mutations in between): reuse the pickled delta, and the
-            # workers' stage memo skips re-applying it too.
-            blob = self._stage_delta_blob
-        else:
-            blob = pickle.dumps(delta, protocol=pickle.HIGHEST_PROTOCOL)
-        self._stage_epoch, self._stage_delta_blob = epoch, blob
-        kind, payload = self._base_ref()
-        ref = (self.run_id, self.base.epoch, epoch, kind, payload, blob)
-        ratio = delta.num_dirty / max(1, delta.size)
-        return ref, _ref_nbytes(ref), "delta", ratio
-
-    def refill_ref(self) -> Tuple[tuple, int]:
-        """Self-contained ref for resubmitting after a worker-side
-        :class:`SnapshotCacheMiss`: full base pickle plus the delta of
-        the stage being retried."""
-        ref = (
-            self.run_id,
-            self.base.epoch,
-            self._stage_epoch,
-            "pickle",
-            self._full_blob(),
-            self._stage_delta_blob,
-        )
-        return ref, _ref_nbytes(ref)
-
-
-def _ref_nbytes(ref) -> int:
-    """Payload size of one stage ref as it crosses the pipe."""
-    run_id, base_epoch, epoch, base_kind, base_payload, delta_blob = ref
-    n = 64  # tuple/scalar envelope
-    if base_kind == "pickle":
-        n += len(base_payload)
-    elif base_kind == "shm":
-        n += len(pickle.dumps(base_payload, protocol=pickle.HIGHEST_PROTOCOL))
-    if delta_blob is not None:
-        n += len(delta_blob)
-    return n
-
-
 class _ChunkJob:
-    """One chunk of a stage fan-out, carrying its retry provenance.
+    """One chunk of a fan-out, carrying its retry count.  ``index`` is
+    the chunk's fault-plan and quarantine-list coordinate."""
 
-    ``index`` is the chunk's coordinate in the *initial* chunking (the
-    fault plan's and the quarantine list's coordinate system — halves
-    of a split chunk keep their parent's index).  ``ref`` overrides the
-    stage snapshot ref after a cache-miss refill.
-    """
+    __slots__ = ("index", "tasks", "attempts")
 
-    __slots__ = ("index", "tasks", "attempts", "splits", "refills", "ref")
-
-    def __init__(self, index: int, tasks: List[tuple], attempts: int = 0,
-                 splits: int = 0, ref: Optional[tuple] = None):
+    def __init__(self, index: int, tasks: List[tuple]):
         self.index = index
         self.tasks = tasks
-        self.attempts = attempts
-        self.splits = splits
-        self.refills = 0
-        self.ref = ref
+        self.attempts = 0
 
 
 # ---------------------------------------------------------------------------
@@ -710,21 +351,14 @@ class _ChunkJob:
 
 
 class ProcessExecutor(SimulatedExecutor):
-    """Simulated scheduler whose read stages run on real processes.
+    """Simulated scheduler whose shard fan-outs run on real processes.
 
     ``workers`` is the *logical* worker count of the simulated timeline
     (the paper's parallelism model); ``jobs`` is the number of OS
-    worker processes doing the physical work (defaults to the core
-    count).  The two are independent knobs: quality and reported
-    speedups follow ``workers``, wall-clock follows ``jobs``.
+    worker processes the shards of a sharded run spread over (defaults
+    to the core count).  The two are independent knobs: quality and
+    reported speedups follow ``workers``, wall-clock follows ``jobs``.
     """
-
-    supports_native_eval = True
-    supports_native_enum = True
-    # Unlike the in-process batch path, fan-out workers recreate the
-    # structure lookup via ``get_library()``; a custom library must
-    # stay on the generic operator path (the driver checks this).
-    native_eval_needs_default_library = True
 
     def __init__(
         self,
@@ -738,14 +372,12 @@ class ProcessExecutor(SimulatedExecutor):
             raise ValueError(f"need at least one job, got {self.jobs}")
         self._pool = None
         self._pool_broken = False
-        # One executor = one run: refs are keyed by this id in the
-        # worker caches, and fallback warnings are scoped to it.
+        # One executor = one run: fallback warnings are scoped to it.
         self.run_id = f"{os.getpid():x}-{next(_RUN_COUNTER)}"
         self._fallback_warned = False
-        self._shipper = _SnapshotShipper(self.run_id)
         self.snapshot_bytes_total = 0
-        self.shipped_bytes: Dict[str, int] = {}
-        self.cache_refills = 0
+        # The read stages never fan out, so these stay 0; they remain
+        # because perfbench/layers.py reads them.
         self.eval_wall_seconds = 0.0
         self.enum_wall_seconds = 0.0
         # Cumulative shard chunks fanned out across seam-rotation
@@ -764,6 +396,28 @@ class ProcessExecutor(SimulatedExecutor):
         self._fault_plan: Optional[FaultPlan] = None
         self._fault_plan_spec: Optional[str] = None
 
+    # -- the read stages: in-process ----------------------------------
+    #
+    # Defined in this class body rather than inherited so that tools
+    # wrapping this class's own attributes (perfbench/layers.py goes
+    # through ``vars(ProcessExecutor)``) find them.  Only callers that
+    # drive stages directly reach them: the DACPara rewriter never runs
+    # the level pipeline on this executor.
+
+    def run_eval(self, name: str, items: Sequence[int], ctx) -> StageStats:
+        """The eval stage, in-process (see
+        :meth:`SimulatedExecutor.run_eval`)."""
+        from ..rewrite.columnar import run_eval_batched
+
+        return run_eval_batched(self, name, items, ctx)
+
+    def run_enum(self, name: str, items: Sequence[int], ctx) -> StageStats:
+        """The enum stage, in-process (see
+        :meth:`SimulatedExecutor.run_enum`)."""
+        from ..rewrite.columnar import run_enum_batched
+
+        return run_enum_batched(self, name, items, ctx)
+
     # -- pool management ----------------------------------------------
 
     def _warn_fallback(self, why: str) -> None:
@@ -772,7 +426,7 @@ class ProcessExecutor(SimulatedExecutor):
         Scoped per run: the run id in the message keeps Python's
         warning registry from deduplicating one run's fallback against
         another's, and the instance flag keeps one run from warning on
-        every stage.
+        every fan-out.
         """
         if self._fallback_warned:
             return
@@ -845,16 +499,14 @@ class ProcessExecutor(SimulatedExecutor):
         return self._ensure_pool()
 
     def close(self, wait: bool = True) -> None:
-        """Shut the worker pool down and release the shared-memory
-        base snapshot (idempotent).  ``wait=False`` (the ``__del__``
-        path) never joins workers, so a wedged worker cannot block
-        garbage collection or interpreter teardown."""
+        """Shut the worker pool down (idempotent).  ``wait=False`` (the
+        ``__del__`` path) never joins workers, so a wedged worker
+        cannot block garbage collection or interpreter teardown."""
         if not wait:
             self._discard_pool()
         elif self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-        self._shipper.release()
 
     def __del__(self):  # pragma: no cover - GC safety net
         try:
@@ -862,23 +514,7 @@ class ProcessExecutor(SimulatedExecutor):
         except Exception:
             pass
 
-    # -- shared fan-out plumbing --------------------------------------
-
-    def _stage_ref(self, ctx, stage: str):
-        """Build this stage's snapshot ref and account its bytes."""
-        ref, nbytes, kind, ratio = self._shipper.stage_ref(ctx.aig, ctx.config)
-        obs = self.obs
-        if obs.enabled and kind == "delta":
-            obs.observe("snapshot_delta_ratio", ratio)
-        return ref, nbytes, kind
-
-    def _account_bytes(self, stage: str, kind: str, nbytes: int) -> None:
-        self.snapshot_bytes_total += nbytes
-        self.shipped_bytes[kind] = self.shipped_bytes.get(kind, 0) + nbytes
-        obs = self.obs
-        if obs.enabled:
-            obs.count("snapshot_bytes_shipped_total", nbytes, stage=stage, kind=kind)
-            obs.observe("snapshot_bytes", nbytes)
+    # -- fan-out plumbing ---------------------------------------------
 
     def _get_fault_plan(self, config) -> Optional[FaultPlan]:
         spec = getattr(config, "fault_plan", None) or \
@@ -887,8 +523,6 @@ class ProcessExecutor(SimulatedExecutor):
             self._fault_plan_spec = spec
             self._fault_plan = FaultPlan.parse(spec)
         return self._fault_plan
-
-    # -- wall-clock telemetry -----------------------------------------
 
     def _wall_for(self, config):
         """The observer's wall timeline, or None when telemetry is off
@@ -905,14 +539,6 @@ class ProcessExecutor(SimulatedExecutor):
     def _wall_instant(self, wall, name: str, **args) -> None:
         if wall is not None:
             wall.instant(name, **args)
-
-    def record_wall(self, name: str, **args) -> None:
-        """Forward a wall-clock instant to the observer's timeline
-        (the live override of the simulated executor's no-op hook)."""
-        if self.obs.enabled:
-            wall = getattr(self.obs, "wall", None)
-            if wall is not None:
-                wall.instant(name, **args)
 
     def _update_pool_gauges(self, wall) -> None:
         """Occupancy/utilization gauges from worker-span overlap; last
@@ -939,7 +565,7 @@ class ProcessExecutor(SimulatedExecutor):
         wall=None,
     ) -> None:
         """Route one failed chunk: retry with backoff while its budget
-        lasts, then split it in half, then quarantine and degrade."""
+        lasts, then quarantine and degrade."""
         progress = self.obs.progress
         job.attempts += 1
         if job.attempts <= max_retries:
@@ -952,24 +578,9 @@ class ProcessExecutor(SimulatedExecutor):
                 progress.bump("retries")
             retry.append(job)
             return
-        if len(job.tasks) > 1 and job.splits < MAX_SPLIT_DEPTH:
-            mid = len(job.tasks) // 2
-            self.chunk_retries += 2
-            if self.obs.enabled:
-                self.obs.count("chunk_retries_total", 2, stage=stage)
-            self._wall_instant(wall, "chunk_split", stage=stage,
-                               chunk=job.index, depth=job.splits + 1)
-            if progress is not None:
-                progress.bump("retries", 2)
-            for piece in (job.tasks[:mid], job.tasks[mid:]):
-                retry.append(
-                    _ChunkJob(job.index, piece, splits=job.splits + 1,
-                              ref=job.ref)
-                )
-            return
-        # Poison chunk: every retry and split exhausted.  Record the
-        # coordinates, surface them through the observer, and compute
-        # the chunk in-parent so the stage still completes exactly.
+        # Poison chunk: every retry exhausted.  Record the coordinates,
+        # surface them through the observer, and compute the chunk
+        # in-parent so the fan-out still completes exactly.
         self.quarantined.append((stage, job.index))
         if self.obs.enabled:
             self.obs.count("quarantined_chunks_total")
@@ -985,23 +596,21 @@ class ProcessExecutor(SimulatedExecutor):
         merged.extend(self._degrade_chunk(job, fallback, collector))
 
     def _collect_chunks(
-        self, pool, entry, ref, parts, config, collector, stage, fallback,
+        self, pool, entry, payload, parts, config, collector, stage, fallback,
         index_base=0,
     ):
         """Submit all chunks and fan results back in, fault-tolerantly.
 
-        Failure handling is chunk-grained: a worker that misses its
-        cached base snapshot is refilled; a chunk that raises or
-        returns a corrupted result retries with capped exponential
-        backoff, splits on repeated failure, and is quarantined (and
-        computed in-parent via ``fallback``) as a last resort; a chunk
-        that outlives ``config.chunk_timeout_seconds`` degrades
-        in-parent immediately and the wedged pool is restarted; a
-        ``BrokenProcessPool`` restarts the pool (within
-        ``config.pool_restart_budget``) and resubmits the chunks that
-        died with it.  Every path reproduces the exact values a healthy
-        worker would have returned, keeping process mode byte-identical
-        to simulated mode under any fault.
+        Every submission of ``entry`` carries the same self-contained
+        ``payload``.  Failure handling is chunk-grained: a chunk that
+        raises or returns a corrupted result retries with capped
+        exponential backoff and is quarantined (and computed in-parent
+        via ``fallback``) as a last resort; a chunk that outlives
+        ``config.chunk_timeout_seconds`` degrades in-parent immediately
+        and the wedged pool is restarted; a ``BrokenProcessPool``
+        restarts the pool (within ``config.pool_restart_budget``) and
+        resubmits the chunks that died with it.  Every path reproduces
+        the exact values a healthy worker would have returned.
         """
         merged: List[tuple] = []
         queue = deque(
@@ -1032,8 +641,7 @@ class ProcessExecutor(SimulatedExecutor):
                 )
                 try:
                     future = pool.submit(
-                        entry, job.ref if job.ref is not None else ref,
-                        job.tasks, config, fault, tele_args,
+                        entry, payload, job.tasks, config, fault, tele_args,
                     )
                 except Exception:
                     # The pool died between rounds (broken or shut
@@ -1060,28 +668,10 @@ class ProcessExecutor(SimulatedExecutor):
                     _validate_chunk(job.tasks, part_results)
                     merged.extend(part_results)
                     collector.merge(part_collector)
-                except SnapshotCacheMiss:
-                    # Fresh worker without this run's base: resubmit
-                    # self-contained.  Not a failure — unless the
-                    # self-contained payload misses too.
-                    if job.refills >= 1:
-                        self._record_failure(
-                            job, retry, stage, fallback, collector,
-                            merged, max_retries, wall=wall,
-                        )
-                        continue
-                    refill_ref, refill_bytes = self._shipper.refill_ref()
-                    self._account_bytes(stage, "refill", refill_bytes)
-                    self.cache_refills += 1
-                    if self.obs.enabled:
-                        self.obs.count("worker_snapshot_cache_refills_total")
-                    job.ref = refill_ref
-                    job.refills += 1
-                    queue.append(job)
                 except _FuturesTimeout:
                     # The worker is presumed wedged: only this chunk
                     # degrades in-parent, and the pool is replaced so
-                    # the hung process cannot poison later stages.
+                    # the hung process cannot poison later fan-outs.
                     self.chunk_timeouts += 1
                     if self.obs.enabled:
                         self.obs.count("chunk_timeouts_total")
@@ -1117,135 +707,25 @@ class ProcessExecutor(SimulatedExecutor):
                 queue.extend(retry)
         return merged
 
-    def _chunk(self, tasks: List[tuple]) -> List[List[tuple]]:
-        step = (len(tasks) + self.jobs - 1) // self.jobs
-        return [tasks[i : i + step] for i in range(0, len(tasks), step)]
-
-    # -- the native eval stage ----------------------------------------
-
-    def run_eval(self, name: str, items: Sequence[int], ctx) -> StageStats:
-        """Fan the eval stage out to processes, then replay the merge.
-
-        ``ctx`` is the :class:`~repro.core.operators.StageContext`; the
-        replay stores each returned candidate into ``ctx.prep_info``
-        exactly as the simulated eval operator would.
-        """
-        try:
-            return self._run_eval_fanout(name, items, ctx)
-        except BaseException:
-            # An exception escaping the stage must not leak the base
-            # snapshot's shared-memory segment.
-            self._shipper.release()
-            raise
-
-    def _run_eval_fanout(self, name: str, items: Sequence[int], ctx) -> StageStats:
-        start_wall = time.perf_counter()
-        start_time = time.time()
-        obs = self.obs
-        # Harvest the enumerated cut sets (cache hits after the enum
-        # stage barrier) — workers must see these, not a re-enumeration.
-        tasks = ctx.cutman.eval_harvest(items)
-        collector = _MetricCollector()
-        snapshot_bytes = 0
-        chunks = 0
-
-        pool = self._ensure_pool() if len(items) >= MIN_FANOUT else None
-        if pool is not None:
-            _warm_shared_state(ctx.config)
-            ref, ref_bytes, kind = self._stage_ref(ctx, name)
-            parts = self._chunk(tasks)
-            chunks = len(parts)
-            snapshot_bytes = ref_bytes * chunks  # the ref rides every chunk
-            self._account_bytes(name, kind, snapshot_bytes)
-            try:
-                merged = self._collect_chunks(
-                    pool, _eval_chunk, ref, parts, ctx.config, collector,
-                    name,
-                    lambda chunk, coll: _eval_tasks(
-                        ctx.aig, chunk, ctx.config, coll
-                    ),
-                )
-            except (OSError, MemoryError) as exc:
-                # Last-resort whole-stage degradation (fork limit, OOM
-                # during submission) — per-chunk faults never get here.
-                self._warn_fallback(f"process fan-out failed ({exc})")
-                self._pool_broken = True
-                self.close()
-                merged = _eval_tasks(ctx.aig, tasks, ctx.config, collector)
-        else:
-            merged = _eval_tasks(ctx.aig, tasks, ctx.config, collector)
-
-        results = {root: (candidate, units) for root, candidate, units in merged}
-        fanout_wall = time.perf_counter() - start_wall
-        self.eval_wall_seconds += fanout_wall
-
-        if obs.enabled:
-            collector.replay_into(obs)
-            obs.observe("eval_fanout_wall_seconds", fanout_wall)
-            wall = self._wall_for(ctx.config)
-            if wall is not None and chunks:
-                wall.parent_span(
-                    "eval_fanout", start_time, time.time(),
-                    stage=name, nodes=len(items), chunks=chunks,
-                    jobs=self.jobs,
-                )
-                self._update_pool_gauges(wall)
-
-        # Replay through the simulated scheduler: identical costs on
-        # identical logical workers reconstruct the simulated timeline,
-        # spans and stats bit-for-bit.
-        prep_info = ctx.prep_info
-        meter = ctx.meter
-
-        def replay_operator(root: int):
-            candidate, units = results[root]
-            if units < 0:  # dead root: the eval operator does nothing
-                return
-            meter.add(units)
-            yield Phase(locks=(), cost=units + 1)
-            prep_info.store(root, candidate)
-
-        span = None
-        if obs.enabled:
-            span = obs.begin(
-                "eval_fanout", "fanout", self.now, nodes=len(items),
-                jobs=self.jobs, chunks=chunks,
-            )
-        stage = self.run(name, items, replay_operator)
-        stage.wall_seconds = time.perf_counter() - start_wall
-        if obs.enabled:
-            obs.end(
-                span, self.now,
-                wall_ms=round(stage.wall_seconds * 1e3, 3),
-                snapshot_bytes=snapshot_bytes,
-            )
-        return stage
-
     # -- the shard fan-out --------------------------------------------
 
     def run_shards(self, aig, tasks, config, pass_index=0) -> List[tuple]:
         """Fan whole-shard rewrites out to pool workers.
 
-        ``tasks`` are ``(index, Shard)`` pairs; the graph ships once as
-        a (shared-memory) snapshot and each chunk carries only a
-        shard's var lists.  One shard per chunk: a shard is the unit of
-        retry, quarantine and fault injection (stage name ``"shard"``
-        in the fault plan — chunk coordinates are cumulative across
-        seam-rotation passes, so ``mode@shard:N`` can target any pass's
-        chunks), and the in-parent fallback recomputes it against the
-        live graph with identical results.  ``pass_index`` labels the
-        fan-out span for multi-pass telemetry.  Returns the
-        ``(index, payload, units)`` triples, unordered.
+        ``tasks`` are ``(index, Shard)`` pairs.  The graph is captured
+        and pickled once per fan-out; every chunk carries that blob
+        plus one shard's var lists.  One shard per chunk: a shard is
+        the unit of retry, quarantine and fault injection (stage name
+        ``"shard"`` in the fault plan — chunk coordinates are
+        cumulative across seam-rotation passes, so ``mode@shard:N``
+        can target any pass's chunks), and the in-parent fallback
+        recomputes it against the live graph with identical results.
+        ``pass_index`` labels the fan-out span for multi-pass
+        telemetry.  Returns the ``(index, payload, units)`` triples,
+        unordered.
         """
-        try:
-            return self._run_shard_fanout(aig, tasks, config, pass_index)
-        except BaseException:
-            self._shipper.release()
-            raise
-
-    def _run_shard_fanout(self, aig, tasks, config, pass_index=0) -> List[tuple]:
-        start_wall = time.perf_counter()
         start_time = time.time()
+        start_wall = time.perf_counter()
         collector = _MetricCollector()
         pool = self._ensure_pool()
         chunks = 0
@@ -1253,17 +733,22 @@ class ProcessExecutor(SimulatedExecutor):
             merged = _shard_tasks(aig, tasks, config, collector)
         else:
             _warm_shared_state(config)
-            ref, ref_bytes, kind, ratio = self._shipper.stage_ref(aig, config)
-            if self.obs.enabled and kind == "delta":
-                self.obs.observe("snapshot_delta_ratio", ratio)
+            blob = pickle.dumps(
+                AigSnapshot.capture(aig), protocol=pickle.HIGHEST_PROTOCOL
+            )
             parts = [[task] for task in tasks]
             chunks = len(parts)
             index_base = self.shard_chunks_seen
             self.shard_chunks_seen += chunks
-            self._account_bytes("shard", kind, ref_bytes * chunks)
+            nbytes = len(blob) * chunks  # the blob rides every chunk
+            self.snapshot_bytes_total += nbytes
+            if self.obs.enabled:
+                self.obs.count("snapshot_bytes_shipped_total", nbytes,
+                               stage="shard")
+                self.obs.observe("snapshot_bytes", len(blob))
             try:
                 merged = self._collect_chunks(
-                    pool, _shard_chunk, ref, parts, config, collector,
+                    pool, _shard_chunk, blob, parts, config, collector,
                     "shard",
                     lambda chunk, coll: _shard_tasks(
                         aig, chunk, config, coll
@@ -1271,15 +756,18 @@ class ProcessExecutor(SimulatedExecutor):
                     index_base=index_base,
                 )
             except (OSError, MemoryError) as exc:
+                # Last-resort whole-fan-out degradation (fork limit,
+                # OOM during submission) — per-chunk faults never get
+                # here.
                 self._warn_fallback(f"shard fan-out failed ({exc})")
                 self._pool_broken = True
                 self.close()
                 merged = _shard_tasks(aig, tasks, config, collector)
-        fanout_wall = time.perf_counter() - start_wall
         obs = self.obs
         if obs.enabled:
             collector.replay_into(obs)
-            obs.observe("shard_fanout_wall_seconds", fanout_wall)
+            obs.observe("shard_fanout_wall_seconds",
+                        time.perf_counter() - start_wall)
             wall = self._wall_for(config)
             if wall is not None and chunks:
                 wall.parent_span(
@@ -1289,124 +777,3 @@ class ProcessExecutor(SimulatedExecutor):
                 )
                 self._update_pool_gauges(wall)
         return merged
-
-    # -- the native enum stage ----------------------------------------
-
-    def run_enum(self, name: str, items: Sequence[int], ctx) -> StageStats:
-        """Fan cut enumeration out to processes, then replay the merge.
-
-        Within one enumeration stage the graph is read-only, so each
-        eligible root's merged cut set — and its merge-pair count, the
-        cost the simulated scheduler charges — is a pure function of
-        the stage-start state.  The parent harvests the fanin cut sets
-        (:meth:`~repro.cuts.manager.CutManager.enum_harvest`), workers
-        run the identical merge against the snapshot, and the replay
-        installs each result into the cut cache *before yielding* —
-        mirroring ``fresh_cuts``'s cache-then-lock shape, so an aborted
-        activity retries as a one-unit cache hit exactly like the
-        simulated run.  Ineligible roots (already-fresh entries, deep
-        recursions on cold caches) run the real operator in replay.
-
-        With ``enum_fanout`` off the stage stays in-parent on the
-        batched columnar path (or, with ``columnar_enum`` off too, the
-        scalar operator) — byte-identical either way.
-        """
-        if not ctx.config.enum_fanout:
-            from ..rewrite.columnar import run_enum_batched
-
-            return run_enum_batched(self, name, items, ctx)
-        try:
-            return self._run_enum_fanout(name, items, ctx)
-        except BaseException:
-            self._shipper.release()
-            raise
-
-    def _run_enum_fanout(self, name: str, items: Sequence[int], ctx) -> StageStats:
-        from ..core.operators import make_enum_operator
-
-        enum_op = make_enum_operator(ctx)
-        aig = ctx.aig
-        cutman = ctx.cutman
-
-        tasks: List[tuple] = []
-        for root in items:
-            if aig.is_dead(root):
-                continue
-            harvest = cutman.enum_harvest(root)
-            if harvest is not None:
-                tasks.append((root,) + harvest)
-
-        pool = self._ensure_pool() if len(tasks) >= MIN_FANOUT else None
-        if pool is None:
-            from ..rewrite.columnar import run_enum_batched
-
-            return run_enum_batched(self, name, items, ctx)
-
-        start_wall = time.perf_counter()
-        start_time = time.time()
-        obs = self.obs
-        _warm_shared_state(ctx.config)
-        collector = _MetricCollector()
-        ref, ref_bytes, kind = self._stage_ref(ctx, name)
-        parts = self._chunk(tasks)
-        snapshot_bytes = ref_bytes * len(parts)
-        self._account_bytes(name, kind, snapshot_bytes)
-        try:
-            merged = self._collect_chunks(
-                pool, _enum_chunk, ref, parts, ctx.config, collector, name,
-                lambda chunk, coll: _enum_tasks(
-                    ctx.aig, chunk, ctx.config, coll
-                ),
-            )
-        except (OSError, MemoryError) as exc:
-            self._warn_fallback(f"process fan-out failed ({exc})")
-            self._pool_broken = True
-            self.close()
-            from ..rewrite.columnar import run_enum_batched
-
-            return run_enum_batched(self, name, items, ctx)
-
-        results = {root: (cuts, pairs) for root, cuts, pairs in merged}
-        fanout_wall = time.perf_counter() - start_wall
-        self.enum_wall_seconds += fanout_wall
-        if obs.enabled:
-            collector.replay_into(obs)
-            obs.observe("enum_fanout_wall_seconds", fanout_wall)
-            wall = self._wall_for(ctx.config)
-            if wall is not None:
-                wall.parent_span(
-                    "enum_fanout", start_time, time.time(),
-                    stage=name, nodes=len(items), chunks=len(parts),
-                    jobs=self.jobs,
-                )
-                self._update_pool_gauges(wall)
-
-        def replay_operator(root: int):
-            if aig.is_dead(root):
-                return
-            got = results.get(root)
-            if got is not None and not cutman.has_fresh_live_cuts(root):
-                cuts, pairs = got
-                cutman.install_cuts(root, cuts, work=pairs)
-                yield Phase(locks=(root,), cost=pairs + 1)
-                return
-            # Cache answers (including a retry after an abort, whose
-            # first attempt already installed the cuts) and roots that
-            # stayed in-parent take the real operator's path.
-            yield from enum_op(root)
-
-        span = None
-        if obs.enabled:
-            span = obs.begin(
-                "enum_fanout", "fanout", self.now, nodes=len(items),
-                jobs=self.jobs, chunks=len(parts),
-            )
-        stage = self.run(name, items, replay_operator)
-        stage.wall_seconds = time.perf_counter() - start_wall
-        if obs.enabled:
-            obs.end(
-                span, self.now,
-                wall_ms=round(stage.wall_seconds * 1e3, 3),
-                snapshot_bytes=snapshot_bytes,
-            )
-        return stage

@@ -77,17 +77,6 @@ class SimulatedExecutor:
     stay visually separate in a trace.
     """
 
-    #: The driver may hand the eval stage to :meth:`run_eval` (the
-    #: columnar batch engine + replay) instead of the generic operator
-    #: path; results are byte-identical either way.  Unlike the process
-    #: executor, the batch engine here runs in-process against
-    #: ``ctx.library`` directly, so a custom library is fine.
-    supports_native_eval = True
-    native_eval_needs_default_library = False
-    #: Same contract for the enum stage: :meth:`run_enum` batch-merges
-    #: the worklist through the columnar cut kernels and replays.
-    supports_native_enum = True
-
     def __init__(
         self,
         workers: int,
@@ -105,21 +94,6 @@ class SimulatedExecutor:
     def close(self) -> None:
         """Release executor resources (no-op here; the process-pool
         executor overrides this to shut its worker pool down)."""
-
-    @property
-    def wall(self):
-        """The attached observer's wall-clock timeline (None when
-        tracing is off).  The simulated executor never records into it
-        — its clock is work units by design — but exposing the hook
-        here keeps engine code executor-agnostic; only executors with
-        a physical side (:class:`~repro.galois.procpool.ProcessExecutor`)
-        populate it."""
-        return getattr(self.obs, "wall", None)
-
-    def record_wall(self, name: str, **args) -> None:
-        """Wall-clock instant hook: a no-op on the simulated clock
-        (see :attr:`wall`); the process executor forwards these to the
-        observer's timeline."""
 
     def run_eval(self, name: str, items: Sequence[int], ctx) -> StageStats:
         """The eval stage via the columnar batch kernels plus replay.

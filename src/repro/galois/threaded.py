@@ -54,18 +54,6 @@ class ThreadedExecutor:
     serial (1-worker) timing.
     """
 
-    #: Same native-eval contract as the simulated executor: the batch
-    #: engine precomputes candidates in-process (against ``ctx.
-    #: library``), then the replay operators run on real threads.  The
-    #: eval stage takes no locks, so the per-root stores are exactly
-    #: what the scalar operator path would produce.
-    supports_native_eval = True
-    native_eval_needs_default_library = False
-    #: Enum fans through the columnar batch merge too; the replay
-    #: operators install under the commit mutex (every generator
-    #: resumption holds it), so the shared cut cache stays safe.
-    supports_native_enum = True
-
     def __init__(self, workers: int, observer: Optional[Observer] = None):
         if workers < 1:
             raise SchedulerError(f"need at least one worker, got {workers}")
@@ -79,17 +67,6 @@ class ThreadedExecutor:
 
     def close(self) -> None:
         """No pooled resources to release (threads are per-stage)."""
-
-    @property
-    def wall(self):
-        """The attached observer's wall-clock timeline (None when
-        tracing is off).  The threaded executor records nothing into
-        it — GIL-serialized wall time would only mislead — but the
-        hook keeps it interface-compatible with the process executor."""
-        return getattr(self.obs, "wall", None)
-
-    def record_wall(self, name: str, **args) -> None:
-        """Wall-clock instant hook: a no-op here (see :attr:`wall`)."""
 
     def run_eval(self, name: str, items: Sequence, ctx) -> StageStats:
         """The eval stage via the columnar batch kernels plus replay

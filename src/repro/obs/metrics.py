@@ -26,12 +26,11 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 #:
 #: * ``pool_restarts_total``       — BrokenProcessPool / wedged-pool
 #:   replacements (bounded by ``config.pool_restart_budget``)
-#: * ``chunk_retries_total{stage}`` — failed-chunk resubmissions,
-#:   including the two halves of an automatic chunk split
+#: * ``chunk_retries_total{stage}`` — failed-chunk resubmissions
 #: * ``chunk_timeouts_total``      — chunks that outlived
 #:   ``config.chunk_timeout_seconds``
 #: * ``quarantined_chunks_total``  — poison chunks that exhausted
-#:   retries and splits (coordinates on ``ProcessExecutor.quarantined``)
+#:   their retries (coordinates on ``ProcessExecutor.quarantined``)
 #: * ``chunk_fallback_total``      — chunks computed in-parent while
 #:   the rest of the fan-out stayed on worker cores
 FAULT_TOLERANCE_COUNTERS: Tuple[str, ...] = (

@@ -6,8 +6,8 @@ crosses the pipe into a pool worker, the parent only learns the
 aggregate stage wall time.  This module is the worker half of the
 cross-process wall-clock layer: a :class:`ChunkTelemetry` record is
 opened when a chunk lands in a worker, phase boundaries are marked as
-the chunk moves through its pipeline (snapshot patch → cut
-harvest/eval), and the finished record rides back to the parent
+the chunk moves through its pipeline (snapshot unpickle → shard
+rewrite), and the finished record rides back to the parent
 piggybacked on the existing chunk result tuple, where
 :class:`repro.obs.collect.WallTimeline` merges it with the parent's
 own submit/receive timestamps.
@@ -37,8 +37,8 @@ from typing import Any, Dict, List, Optional, Tuple
 #: ``serialize`` are derived parent-side (submit→worker-start and
 #: worker-end→parent-receive respectively: queueing, IPC and pickle
 #: time live there); ``patch`` and ``compute`` are measured
-#: worker-side around snapshot resolution and the actual
-#: evaluation/merge work.
+#: worker-side around unpickling the chunk's snapshot and the actual
+#: shard rewrite.
 CHUNK_PHASES: Tuple[str, ...] = ("receive", "patch", "compute", "serialize")
 
 
@@ -47,10 +47,10 @@ class ChunkTelemetry:
 
     Worker-side lifecycle::
 
-        tele = ChunkTelemetry.begin("eval", chunk=3, attempt=0, tasks=64)
-        tele.enter("patch")    # snapshot resolve/delta application
-        tele.enter("compute")  # evaluation / cut merging
-        tele.done(results=64)
+        tele = ChunkTelemetry.begin("shard", chunk=3, attempt=0, tasks=1)
+        tele.enter("patch")    # unpickle the chunk's snapshot
+        tele.enter("compute")  # rewrite the shard
+        tele.done(results=1)
 
     ``phases`` holds ``(name, start_offset, end_offset)`` triples in
     seconds relative to :attr:`anchor` (the worker's ``time.time()``

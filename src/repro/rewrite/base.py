@@ -265,7 +265,7 @@ def best_candidate_over_cuts(
     The cut list is whatever the enumeration stage produced; ``aig``
     only needs the read-only surface (fanins, refs, levels, strash
     probes), so this also runs against an :class:`~repro.aig.snapshot.
-    AigSnapshot` inside process-pool eval workers.
+    AigSnapshot`.
     """
     allowed = config.allowed_classes
     observing = observer is not None and observer.enabled
@@ -315,6 +315,29 @@ def best_candidate_over_cuts(
             observer.observe("gain", best.gain)
         return best
     return None
+
+
+def eval_tasks_scalar(
+    aig, tasks, config: RewriteConfig, library: StructureLibrary,
+    observer=None,
+) -> List[Tuple[int, Optional[Candidate], int]]:
+    """Score every ``(root, cuts)`` task with the per-cut scalar loop.
+
+    The differential oracle of :func:`~repro.rewrite.columnar.
+    eval_tasks_columnar`: same ``(root, candidate-or-None,
+    work-units)`` triples, with ``-1`` units marking a dead root.
+    """
+    out: List[Tuple[int, Optional[Candidate], int]] = []
+    for root, cuts in tasks:
+        if aig.is_dead(root):
+            out.append((root, None, -1))
+            continue
+        meter = WorkMeter()
+        candidate = best_candidate_over_cuts(
+            aig, root, cuts, library, config, meter, observer=observer
+        )
+        out.append((root, candidate, meter.units))
+    return out
 
 
 def apply_candidate(aig: Aig, candidate: Candidate) -> int:

@@ -484,13 +484,15 @@ def eval_tasks_columnar(
 
 
 def run_eval_batched(executor, name: str, items: Sequence[int], ctx):
-    """Native eval stage for the in-process executors: batch-precompute
-    with the columnar kernels, then replay through ``executor.run``.
+    """Native eval stage for every executor: batch-precompute with the
+    columnar kernels, then replay through ``executor.run``.
 
     The replay operator charges the identical meter units and phase
     costs the scalar eval operator would, so the stage stats, spans and
     timeline are byte-identical; with ``columnar_eval`` off the stage
-    simply runs the scalar operator (the differential oracle).
+    simply runs the scalar operator (the differential oracle).  The
+    returned stage's ``wall_seconds`` covers the harvest and kernel
+    precompute as well as the replay.
     """
     from ..galois.activity import Phase
 
@@ -498,6 +500,7 @@ def run_eval_batched(executor, name: str, items: Sequence[int], ctx):
         from ..core.operators import make_eval_operator
 
         return executor.run(name, items, make_eval_operator(ctx))
+    start = time.perf_counter()
     tasks = ctx.cutman.eval_harvest(items)
     merged = eval_tasks_columnar(
         ctx.aig, tasks, ctx.config, ctx.library, observer=executor.obs
@@ -514,24 +517,26 @@ def run_eval_batched(executor, name: str, items: Sequence[int], ctx):
         yield Phase(locks=(), cost=units + 1)
         prep_info.store(root, candidate)
 
-    return executor.run(name, items, replay_operator)
+    stage = executor.run(name, items, replay_operator)
+    stage.wall_seconds = time.perf_counter() - start
+    return stage
 
 
 def run_enum_batched(executor, name: str, items: Sequence[int], ctx):
-    """Native enum stage for the in-process executors: harvest every
-    fan-out-eligible root, merge them all in one columnar kernel
-    invocation (:meth:`~repro.cuts.CutManager.merge_tasks_columnar`),
-    then replay through ``executor.run``.
+    """Native enum stage for every executor: harvest every eligible
+    root, merge them all in one columnar kernel invocation
+    (:meth:`~repro.cuts.CutManager.merge_tasks_columnar`), then replay
+    through ``executor.run``.
 
-    The replay operator is the in-process twin of the process
-    executor's fan-out replay: it installs the precomputed cut set and
-    charges the identical pair count, so phase costs, lock regions and
-    the :attr:`~repro.cuts.CutManager.work` trajectory are
-    byte-identical to running the scalar enum operator.  Ineligible
-    roots (and any root whose entry became fresh after an aborted
-    retry) fall back to the enum operator, exactly as in the fan-out
-    path; with ``columnar_enum`` off the stage simply runs the scalar
-    operator (the differential oracle).
+    The replay operator installs the precomputed cut set and charges
+    the identical pair count, so phase costs, lock regions and the
+    :attr:`~repro.cuts.CutManager.work` trajectory are byte-identical
+    to running the scalar enum operator.  Ineligible roots (and any
+    root whose entry became fresh after an aborted retry) fall back to
+    the enum operator; with ``columnar_enum`` off the stage simply runs
+    the scalar operator (the differential oracle).  The returned
+    stage's ``wall_seconds`` covers the harvest and merge kernel as
+    well as the replay.
     """
     from ..core.operators import make_enum_operator
     from ..galois.activity import Phase
@@ -539,6 +544,7 @@ def run_enum_batched(executor, name: str, items: Sequence[int], ctx):
     enum_op = make_enum_operator(ctx)
     if not ctx.config.columnar_enum:
         return executor.run(name, items, enum_op)
+    start = time.perf_counter()
     aig = ctx.aig
     cutman = ctx.cutman
     tasks = []
@@ -562,4 +568,6 @@ def run_enum_batched(executor, name: str, items: Sequence[int], ctx):
             return
         yield from enum_op(root)
 
-    return executor.run(name, items, replay_operator)
+    stage = executor.run(name, items, replay_operator)
+    stage.wall_seconds = time.perf_counter() - start
+    return stage

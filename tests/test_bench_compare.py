@@ -22,17 +22,12 @@ def _report(**overrides):
     base = {
         "npn_canon": {"lut_lookups_per_second": 1_000_000.0, "speedup": 100.0},
         "cut_enumeration": {"cuts_per_second": 50_000.0, "speedup": 2.5},
-        "eval_stage": {
-            "simulated_nodes_per_second": 5_000.0,
-            "process_nodes_per_second": 4_000.0,
-            "multijob_nodes_per_second": 6_000.0,
-        },
+        "eval_stage": {"simulated_nodes_per_second": 5_000.0},
         "batch_eval": {
             "batch_nodes_per_second": 30_000.0,
             "speedup": 5.0,
         },
         "degraded_eval": {"overhead_ratio": 1.2},
-        "snapshot_delta": {"reduction": 20.0},
         "sharded_rewrite": {
             "sharded_nodes_per_second": 4_500.0,
             "speedup_at_4": 2.0,
@@ -83,11 +78,11 @@ class TestCompareReports:
         baseline = _report()
         baseline["degraded_eval"] = None  # older baselines carry null
         current = _report()
-        del current["snapshot_delta"]["reduction"]
+        del current["batch_eval"]["speedup"]
         deltas = compare_reports(current, baseline, threshold=0.15)
         skipped = {d.metric for d in deltas if d.skipped}
         assert skipped == {"degraded_eval.overhead_ratio",
-                           "snapshot_delta.reduction"}
+                           "batch_eval.speedup"}
         # Skipped metrics never regress.
         assert not any(d.regressed for d in deltas if d.skipped)
 
@@ -107,11 +102,11 @@ class TestCompareReports:
 
 class TestFormatComparison:
     def test_regression_named_in_output(self):
-        cur = _report(**{"eval_stage.process_nodes_per_second": 100.0})
+        cur = _report(**{"eval_stage.simulated_nodes_per_second": 100.0})
         deltas = compare_reports(cur, _report(), threshold=0.15)
         text = format_comparison(deltas, 0.15)
         assert "REGRESSION" in text
-        assert "eval_stage.process_nodes_per_second" in text
+        assert "eval_stage.simulated_nodes_per_second" in text
 
     def test_clean_run_says_ok(self):
         deltas = compare_reports(_report(), _report(), threshold=0.15)
@@ -154,16 +149,12 @@ class TestBenchCompareCli:
         current["cut_enumeration"].update(
             cache_hits=1, cache_misses=2,
             scalar_cuts_per_second=20_000.0, identical_results=True)
-        current["eval_stage"].update(jobs=1, multijob_jobs=2)
         current["batch_eval"].update(
             scalar_nodes_per_second=6_000.0, vectorized_fraction=1.0,
             identical_results=True)
         current["degraded_eval"].update(
             degraded_seconds=0.2, healthy_seconds=0.15, chunk_retries=0,
             pool_restarts=0, chunk_fallbacks=0)
-        current["snapshot_delta"].update(
-            full_bytes_per_stage=1000.0, delta_bytes_per_stage=50.0,
-            recaptures=0, stages=6)
         current["sharded_rewrite"].update(
             nodes=2000, jobs=4, boundary_frozen=100, equivalent=True,
             curve=[{"shards": s, "seconds": 1.0} for s in (1, 2, 4)])

@@ -1,8 +1,10 @@
-"""Chaos suite: fault-injected process fan-outs must recover exactly.
+"""Chaos suite: fault-injected shard fan-outs must recover exactly.
 
-The process executor's headline guarantee — byte-identity with the
-simulated executor — must survive every fault the ``REPRO_FAULT_PLAN``
-hook can inject worker-side:
+The process executor fans out whole shards, one shard per chunk
+(``mode@shard:N`` targets chunk N, counted across seam-rotation
+passes).  Its headline guarantee — a sharded run byte-identical to the
+sequential sharded run on the simulated executor — must survive every
+fault the ``REPRO_FAULT_PLAN`` hook can inject worker-side:
 
 * ``kill``    — SIGKILL a worker mid-chunk (BrokenProcessPool):
   bounded pool restart, dead chunks resubmitted;
@@ -12,9 +14,9 @@ hook can inject worker-side:
 * ``corrupt`` — a worker returns a mangled result list: caught by the
   parent-side validator, then retried like a raise.
 
-Recovery must be *chunk-grained*: the rest of the fan-out completes on
-worker cores (``chunk_fallback_total`` stays far below the number of
-chunks shipped), and a persistent "poison" fault ends in quarantine +
+Recovery must be *chunk-grained*: sibling shards complete on worker
+cores (``chunk_fallback_total`` stays far below the number of chunks
+shipped), and a persistent "poison" fault ends in quarantine +
 in-parent computation, never a wrong or lost result.
 """
 
@@ -30,19 +32,16 @@ import pytest
 from repro.bench import mtm_like
 from repro.config import RewriteConfig, dacpara_config
 from repro.core import DACParaRewriter
-from repro.core.operators import StageContext
-from repro.cuts import CutManager
+from repro.core.partition import plan_regions
 from repro.errors import ConfigError
 from repro.galois import ProcessExecutor
 from repro.galois.procpool import (
     ChunkResultError,
     FaultPlan,
-    InjectedFault,
     _MetricCollector,
     _corrupt_results,
     _validate_chunk,
 )
-from repro.library import get_library
 from repro.obs.metrics import FAULT_TOLERANCE_COUNTERS
 from repro.obs.observer import TracingObserver
 
@@ -56,11 +55,19 @@ JOBS = 2
 HANG_SECONDS = "5.0"
 
 
+def _sharded(workers=8, **over):
+    """A sharded config whose floor lets small circuits decompose."""
+    return dataclasses.replace(
+        dacpara_config(workers=workers), shards=4, shard_min_nodes=1,
+        **over,
+    )
+
+
 def _run(base, kind, config=None):
     aig = copy.deepcopy(base)
     obs = TracingObserver()
     engine = DACParaRewriter(
-        config=config or dacpara_config(workers=8),
+        config=config or _sharded(),
         executor_kind=kind, jobs=JOBS, observer=obs,
     )
     result = engine.run(aig)
@@ -78,17 +85,13 @@ def _counter(obs, name):
     )
 
 
-def _total_chunks(obs):
-    """Chunks shipped across every fan-out stage of a run."""
-    return sum(
-        span.args.get("chunks", 0)
-        for span in obs.tracer.spans
-        if span.name in ("eval_fanout", "enum_fanout")
-    )
-
-
 class TestChaosMatrix:
-    """Byte-identity to simulated mode under each injected fault."""
+    """Faults aimed at the level stages have nothing to hit: an
+    unsharded process run keeps ``enum`` and ``eval`` in-process, so
+    the plan is never armed — no worker starts, nothing is killed,
+    hung, raised or corrupted — and the run stays byte-identical to
+    the simulated one.  Recovery from each mode is exercised on shard
+    chunks by :class:`TestShardChaos`."""
 
     BASE = staticmethod(lambda: mtm_like(num_pis=20, num_nodes=500, seed=5))
 
@@ -101,34 +104,33 @@ class TestChaosMatrix:
         ("hang", "eval"),
     ])
     def test_byte_identity_under_fault(self, mode, stage, monkeypatch):
+        import concurrent.futures
+        import multiprocessing
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a level stage started a pool")
+
         monkeypatch.setenv("REPRO_FAULT_HANG_SECONDS", HANG_SECONDS)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         base = self.BASE()
-        r_sim, a_sim, _ = _run(base, "simulated")
+        plain = dacpara_config(workers=8)
+        r_sim, a_sim, _ = _run(base, "simulated", config=plain)
         cfg = dataclasses.replace(
-            dacpara_config(workers=8),
-            fault_plan=f"{mode}@{stage}:0",
-            chunk_timeout_seconds=1.0,
+            plain, fault_plan=f"{mode}@{stage}:0", chunk_timeout_seconds=1.0,
         )
+        children_before = set(multiprocessing.active_children())
         r_proc, a_proc, obs = _run(base, "process", config=cfg)
+        assert set(multiprocessing.active_children()) == children_before
         assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
         assert aig_fingerprint(a_proc) == aig_fingerprint(a_sim)
-        # Chunk-grained recovery: at most the one faulted chunk fell
-        # back in-parent; everything else completed on worker cores.
-        fallbacks = _counter(obs, "chunk_fallback_total")
-        assert fallbacks <= 1
-        assert fallbacks < _total_chunks(obs)
-        if mode in ("raise", "corrupt"):
-            assert _counter(obs, "chunk_retries_total") >= 1
-            assert fallbacks == 0
-        if mode == "kill":
-            restarts = _counter(obs, "pool_restarts_total")
-            assert 1 <= restarts <= cfg.pool_restart_budget
-        if mode == "hang":
-            assert _counter(obs, "chunk_timeouts_total") >= 1
-            assert fallbacks == 1
+        for name in FAULT_TOLERANCE_COUNTERS:
+            assert _counter(obs, name) == 0
 
     def test_fault_counters_stay_zero_on_healthy_run(self):
-        _, _, obs = _run(self.BASE(), "process")
+        base = mtm_like(num_pis=20, num_nodes=500, seed=5)
+        result, _, obs = _run(base, "process")
+        assert result.shards >= 2
+        assert _counter(obs, "shard_runs_total") >= result.shards
         for name in FAULT_TOLERANCE_COUNTERS:
             assert _counter(obs, name) == 0
 
@@ -144,18 +146,13 @@ class TestShardChaos:
 
     BASE = staticmethod(lambda: mtm_like(num_pis=12, num_nodes=250, seed=404))
 
-    def _cfg(self, **over):
-        return dataclasses.replace(
-            dacpara_config(workers=8), shards=4, shard_min_nodes=1, **over
-        )
-
     @pytest.mark.parametrize("mode", ["raise", "corrupt", "kill", "hang"])
     def test_byte_identity_under_shard_fault(self, mode, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_HANG_SECONDS", HANG_SECONDS)
         base = self.BASE()
-        r_seq, a_seq, _ = _run(base, "simulated", config=self._cfg())
+        r_seq, a_seq, _ = _run(base, "simulated", config=_sharded())
         assert r_seq.shards >= 2  # sharding genuinely engaged
-        cfg = self._cfg(
+        cfg = _sharded(
             fault_plan=f"{mode}@shard:0",
             chunk_timeout_seconds=1.0,
         )
@@ -183,8 +180,8 @@ class TestShardChaos:
         from repro.sat import check_equivalence_auto
 
         base = self.BASE()
-        r_seq, a_seq, _ = _run(base, "simulated", config=self._cfg())
-        cfg = self._cfg(
+        r_seq, a_seq, _ = _run(base, "simulated", config=_sharded())
+        cfg = _sharded(
             fault_plan="raise@shard:0:100000",
             chunk_max_retries=1,
         )
@@ -205,9 +202,9 @@ class TestShardChaos:
         still match the fault-free sequential one byte for byte."""
         base = self.BASE()
         multi = dict(shard_passes=2, boundary_cleanup=True)
-        r_seq, a_seq, _ = _run(base, "simulated", config=self._cfg(**multi))
+        r_seq, a_seq, _ = _run(base, "simulated", config=_sharded(**multi))
         assert r_seq.shard_passes == 2
-        cfg = self._cfg(fault_plan="raise@shard:4", **multi)
+        cfg = _sharded(fault_plan="raise@shard:4", **multi)
         r_proc, a_proc, obs = _run(base, "process", config=cfg)
         assert result_fingerprint(r_proc) == result_fingerprint(r_seq)
         assert aig_fingerprint(a_proc) == aig_fingerprint(a_seq)
@@ -217,20 +214,17 @@ class TestShardChaos:
 
 
 class TestPoolCrashRecovery:
-    """A killed worker mid-stage: the stage completes, the pool
-    restarts within budget, and the output equals simulated mode."""
+    """A killed shard worker: the fan-out completes, the pool restarts
+    within budget, and the output equals the sequential sharded run."""
 
     def test_stage_completes_with_bounded_restarts(self):
         base = mtm_like(num_pis=24, num_nodes=600, seed=0)
-        r_sim, a_sim, _ = _run(base, "simulated")
-        cfg = dataclasses.replace(
-            dacpara_config(workers=8),
-            fault_plan="kill@eval:0",
-            pool_restart_budget=2,
-        )
+        r_seq, a_seq, _ = _run(base, "simulated")
+        cfg = _sharded(fault_plan="kill@shard:0", pool_restart_budget=2)
         r_proc, a_proc, obs = _run(base, "process", config=cfg)
-        assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
-        assert aig_fingerprint(a_proc) == aig_fingerprint(a_sim)
+        assert r_proc.shards >= 2
+        assert result_fingerprint(r_proc) == result_fingerprint(r_seq)
+        assert aig_fingerprint(a_proc) == aig_fingerprint(a_seq)
         restarts = _counter(obs, "pool_restarts_total")
         assert 1 <= restarts <= cfg.pool_restart_budget
 
@@ -240,71 +234,63 @@ class TestPoolCrashRecovery:
         base = mtm_like(num_pis=16, num_nodes=300, seed=21)
         # Same logical worker count as the faulted run: the simulated
         # timeline (and so the makespan) depends on it.
-        r_sim, a_sim, _ = _run(base, "simulated", config=dacpara_config(workers=4))
-        cfg = dataclasses.replace(
-            dacpara_config(workers=4),
+        r_seq, a_seq, _ = _run(base, "simulated", config=_sharded(workers=4))
+        cfg = _sharded(
+            workers=4,
             # Enough fires to kill the fresh pool after each restart.
-            fault_plan="kill@eval:*:8",
+            fault_plan="kill@shard:*:8",
             pool_restart_budget=1,
             chunk_max_retries=1,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             r_proc, a_proc, obs = _run(base, "process", config=cfg)
-        assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
-        assert aig_fingerprint(a_proc) == aig_fingerprint(a_sim)
+        assert result_fingerprint(r_proc) == result_fingerprint(r_seq)
+        assert aig_fingerprint(a_proc) == aig_fingerprint(a_seq)
         assert _counter(obs, "pool_restarts_total") == 1
         assert _counter(obs, "chunk_fallback_total") >= 1
 
 
 class TestTimeoutDeadline:
-    """A hung chunk resolves within 2 x chunk_timeout_seconds."""
+    """A hung shard chunk resolves within 2 x chunk_timeout_seconds."""
 
     TIMEOUT = 0.75
 
-    def _eval_stage(self, aig, config):
-        a = copy.deepcopy(aig)
-        cutman = CutManager(a, k=4, max_cuts=12)
-        live = a.topo_ands()
-        for root in live:
-            cutman.fresh_cuts(root)
-        ctx = StageContext(
-            aig=a, cutman=cutman, library=get_library(), config=config
-        )
+    def _fanout(self, aig, config):
+        plan, reason = plan_regions(aig, 4, 1)
+        assert plan is not None, reason
+        tasks = [(shard.index, shard) for shard in plan.shards]
         ex = ProcessExecutor(4, jobs=JOBS)
         try:
+            ex._ensure_pool().submit(int, 0).result()  # fork outside the clock
             t0 = time.perf_counter()
-            ex.run_eval("eval", live, ctx)
+            merged = ex.run_shards(aig, tasks, config)
             wall = time.perf_counter() - t0
         finally:
             ex.close(wait=False)  # never join a possibly-wedged worker
-        stored = {
-            v: (c.gain, c.canon_tt)
-            for v in live
-            for c in (ctx.prep_info.get(v),)
-            if c is not None
+        payloads = {
+            index: (payload["nodes"], payload["outs"], units)
+            for index, payload, units in merged
         }
-        return wall, stored, ex
+        return wall, payloads, ex
 
     def test_hung_chunk_resolves_within_deadline(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_HANG_SECONDS", HANG_SECONDS)
         aig = mtm_like(num_pis=16, num_nodes=300, seed=7)
-        healthy_wall, healthy_stored, _ = self._eval_stage(
-            aig, dacpara_config(workers=4)
-        )
+        healthy_wall, healthy, _ = self._fanout(aig, dacpara_config(workers=4))
         cfg = dataclasses.replace(
             dacpara_config(workers=4),
-            fault_plan="hang@eval:0",
+            fault_plan="hang@shard:0",
             chunk_timeout_seconds=self.TIMEOUT,
         )
-        degraded_wall, degraded_stored, ex = self._eval_stage(aig, cfg)
+        degraded_wall, degraded, ex = self._fanout(aig, cfg)
         assert ex.chunk_timeouts >= 1
         assert ex.chunk_fallbacks == 1
-        assert degraded_stored == healthy_stored
+        assert degraded == healthy
         # The injected hang sleeps far past the deadline; resolving the
         # chunk must cost at most 2 x the deadline on top of the
-        # healthy stage (detection + in-parent recompute), i.e. the
-        # stage never waits out the hang itself.
+        # healthy fan-out (detection + in-parent recompute), i.e. the
+        # fan-out never waits out the hang itself.
         assert degraded_wall < healthy_wall + 2 * self.TIMEOUT
 
     def test_timeout_disabled_by_none(self):
@@ -315,27 +301,31 @@ class TestTimeoutDeadline:
 
 
 class TestPoisonQuarantine:
-    """A chunk that fails on every attempt is split, quarantined and
+    """A shard chunk that fails on every attempt is quarantined and
     computed in-parent — and the result is still byte-identical."""
 
     def test_persistent_fault_ends_in_quarantine(self):
         base = mtm_like(num_pis=16, num_nodes=220, seed=9)
-        r_sim, a_sim, _ = _run(base, "simulated", config=dacpara_config(workers=4))
-        cfg = dataclasses.replace(
-            dacpara_config(workers=4),
-            fault_plan="raise@eval:0:100000",
+        r_seq, a_seq, _ = _run(base, "simulated", config=_sharded(workers=4))
+        cfg = _sharded(
+            workers=4,
+            fault_plan="raise@shard:0:100000",
             chunk_max_retries=1,
         )
         r_proc, a_proc, obs = _run(base, "process", config=cfg)
-        assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
-        assert aig_fingerprint(a_proc) == aig_fingerprint(a_sim)
+        assert result_fingerprint(r_proc) == result_fingerprint(r_seq)
+        assert aig_fingerprint(a_proc) == aig_fingerprint(a_seq)
         assert _counter(obs, "quarantined_chunks_total") >= 1
         assert _counter(obs, "chunk_fallback_total") >= 1
-        assert _counter(obs, "chunk_retries_total") >= 2
+        assert _counter(obs, "chunk_retries_total") >= 1
         # The quarantine list carries (stage, chunk) coordinates and is
         # surfaced as instant events too.
-        names = {e.name for e in obs.tracer.events}
-        assert "chunk_quarantined" in names
+        quarantined = [
+            e for e in obs.tracer.events if e.name == "chunk_quarantined"
+        ]
+        assert quarantined
+        assert {(e.args["stage"], e.args["chunk"]) for e in quarantined} == \
+            {("shard", 0)}
 
 
 class TestFaultPlan:
@@ -450,49 +440,25 @@ class TestResourceSafety:
         assert ex._pool is None
 
     def test_shipper_released_when_stage_raises(self, monkeypatch):
-        aig = mtm_like(num_pis=16, num_nodes=200, seed=8)
-        cutman = CutManager(aig, k=4, max_cuts=12)
-        live = aig.topo_ands()
-        for root in live:
-            cutman.fresh_cuts(root)
-        ctx = StageContext(
-            aig=aig, cutman=cutman, library=get_library(),
-            config=dacpara_config(),
-        )
-        ex = ProcessExecutor(4, jobs=1)
+        """An exception escaping the shard stage must not leave worker
+        processes behind: run_sharded closes the executor.  (The
+        shipped snapshot is a blob local to one fan-out, so the pool is
+        the only resource left to release.)"""
+        import multiprocessing
 
-        def boom(*args, **kwargs):
-            raise RuntimeError("mid-stage explosion")
+        base = mtm_like(num_pis=12, num_nodes=250, seed=404)
+        engine = DACParaRewriter(
+            config=_sharded(), executor_kind="process", jobs=1
+        )
+        original = ProcessExecutor._collect_chunks
+
+        def boom(self, pool, *args, **kwargs):
+            # Fork the workers first, so there is something to leak.
+            pool.submit(int, 0).result()
+            raise RuntimeError("mid-fan-out explosion")
 
         monkeypatch.setattr(ProcessExecutor, "_collect_chunks", boom)
-        try:
-            with pytest.raises(RuntimeError, match="mid-stage explosion"):
-                ex.run_eval("eval", live, ctx)
-            # The base snapshot (and its shared-memory segment) must
-            # not survive the exception.
-            assert ex._shipper.base is None
-            assert ex._shipper._shared is None
-        finally:
-            ex.close()
-
-    def test_atexit_registry_tracks_shared_bases(self):
-        from repro.aig.snapshot import (
-            AigSnapshot,
-            SharedSnapshotBase,
-            _LIVE_SHARED_BASES,
-            _unlink_live_shared_bases,
-            shared_memory_available,
-        )
-
-        if not shared_memory_available():  # pragma: no cover
-            pytest.skip("no multiprocessing.shared_memory here")
-        aig = mtm_like(num_pis=8, num_nodes=50, seed=1)
-        base = SharedSnapshotBase(AigSnapshot.capture(aig))
-        assert base in _LIVE_SHARED_BASES
-        base.close()
-        assert base not in _LIVE_SHARED_BASES
-        # A leaked base is swept by the exit hook (idempotent close).
-        leaked = SharedSnapshotBase(AigSnapshot.capture(aig))
-        _unlink_live_shared_bases()
-        assert leaked._shm is None
-        assert leaked not in _LIVE_SHARED_BASES
+        with pytest.raises(RuntimeError, match="mid-fan-out explosion"):
+            engine.run(copy.deepcopy(base))
+        monkeypatch.setattr(ProcessExecutor, "_collect_chunks", original)
+        assert multiprocessing.active_children() == []

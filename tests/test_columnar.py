@@ -20,12 +20,13 @@ from repro.bench import mtm_like
 from repro.config import dacpara_config
 from repro.core.operators import StageContext, make_eval_operator
 from repro.cuts import CutManager
-from repro.galois.procpool import _MetricCollector, _eval_tasks_scalar
+from repro.galois.procpool import _MetricCollector
 from repro.galois.simsched import SimulatedExecutor
 from repro.library import get_library
 from repro.npn import ensure_canon_lut, npn_canon
 from repro.npn.canon import _TRANSFORMS, npn_canon_batch_rows
 from repro.npn.truth import batch_lift_tt4, expand
+from repro.rewrite.base import eval_tasks_scalar
 from repro.rewrite.columnar import (
     _allowed_mask,
     columnar_view,
@@ -133,8 +134,8 @@ class TestEvalTasksColumnar:
         config = dacpara_config()
         library = get_library()
         snap = AigSnapshot.capture(aig)
-        want = _eval_tasks_scalar(snap, tasks, config, _MetricCollector(),
-                                  library)
+        want = eval_tasks_scalar(snap, tasks, config, library,
+                                 observer=_MetricCollector())
         assert eval_tasks_columnar(snap, tasks, config, library) == want
         assert eval_tasks_columnar(aig, tasks, config, library) == want
 
@@ -149,8 +150,8 @@ class TestEvalTasksColumnar:
         aig, _, _, tasks = _setup(num_nodes=150, seed=4, config=config)
         library = get_library()
         snap = AigSnapshot.capture(aig)
-        want = _eval_tasks_scalar(snap, tasks, config, _MetricCollector(),
-                                  library)
+        want = eval_tasks_scalar(snap, tasks, config, library,
+                                 observer=_MetricCollector())
         assert eval_tasks_columnar(snap, tasks, config, library) == want
 
     def test_dead_root_sentinel(self):
@@ -162,8 +163,8 @@ class TestEvalTasksColumnar:
         assert aig.is_dead(victim)
         snap = AigSnapshot.capture(aig)
         got = eval_tasks_columnar(snap, tasks, config, library)
-        want = _eval_tasks_scalar(snap, tasks, config, _MetricCollector(),
-                                  library)
+        want = eval_tasks_scalar(snap, tasks, config, library,
+                                 observer=_MetricCollector())
         assert got == want
         by_root = {root: (cand, units) for root, cand, units in got}
         assert by_root[victim] == (None, -1)  # the dead-root sentinel
@@ -175,7 +176,7 @@ class TestEvalTasksColumnar:
         snap = AigSnapshot.capture(aig)
         col_scalar = _MetricCollector()
         col_batch = _MetricCollector()
-        _eval_tasks_scalar(snap, tasks, config, col_scalar, library)
+        eval_tasks_scalar(snap, tasks, config, library, observer=col_scalar)
         eval_tasks_columnar(snap, tasks, config, library, observer=col_batch)
         batch_only = ("eval_vectorized_candidates_total",
                       "eval_scalar_fallback_total")
@@ -237,3 +238,32 @@ class TestRunEvalBatched:
                            "eval_scalar_fallback_total")
             for key in getattr(ex.obs, "counts", {})
         )
+
+    def test_stage_wall_covers_the_kernels(self, monkeypatch):
+        """``wall_seconds`` of a batched eval stage starts before the
+        harvest, so it covers the scoring kernels too — not only the
+        replay through the scheduler."""
+        import time
+
+        from repro.rewrite import columnar
+
+        spent = []
+        score = columnar.eval_tasks_columnar
+
+        def timed_score(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                # Make the kernels dominate the replay by a wide margin.
+                time.sleep(0.05)
+                return score(*args, **kwargs)
+            finally:
+                spent.append(time.perf_counter() - t0)
+
+        monkeypatch.setattr(columnar, "eval_tasks_columnar", timed_score)
+        config = dacpara_config(workers=4)
+        aig, cutman, live, _ = _setup(num_nodes=80, seed=5, config=config)
+        ctx = StageContext(aig=aig, cutman=cutman, library=get_library(),
+                           config=config)
+        stage = SimulatedExecutor(4).run_eval("eval", live, ctx)
+        assert len(spent) == 1
+        assert stage.wall_seconds >= spent[0]

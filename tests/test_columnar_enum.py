@@ -312,3 +312,32 @@ class TestRunEnumBatched:
             obs[0] not in ("enum_batch_size", "enum_kernel_seconds")
             for obs in getattr(ex.obs, "observations", [])
         )
+
+    def test_stage_wall_covers_the_merge_kernel(self, monkeypatch):
+        """``wall_seconds`` of a batched enum stage starts before the
+        harvest, so it covers the merge kernel too — not only the
+        replay through the scheduler."""
+        import time
+
+        spent = []
+        merge = CutManager.merge_tasks_columnar
+
+        def timed_merge(self, *args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                # Make the kernel dominate the replay by a wide margin.
+                time.sleep(0.05)
+                return merge(self, *args, **kwargs)
+            finally:
+                spent.append(time.perf_counter() - t0)
+
+        monkeypatch.setattr(CutManager, "merge_tasks_columnar", timed_merge)
+        config = dacpara_config(workers=4)
+        aig = mtm_like(num_pis=8, num_nodes=80, seed=5)
+        cutman = CutManager(aig, k=config.cut_size, max_cuts=config.max_cuts)
+        ctx = StageContext(aig=aig, cutman=cutman, library=get_library(),
+                           config=config)
+        level_one = [v for v in aig.topo_ands() if aig.level(v) == 1]
+        stage = SimulatedExecutor(4).run_enum("enum", level_one, ctx)
+        assert len(spent) == 1
+        assert stage.wall_seconds >= spent[0]

@@ -112,6 +112,24 @@ class TestDACParaQuality:
             assert result.delay_after <= result.delay_before + 1
 
 
+class TestRewriteResultCounts:
+    def test_attempted_counts_every_worklist(self):
+        """``attempted`` sums the evaluated roots of every worklist,
+        not only the last one's (each worklist gets a fresh prepInfo)."""
+        from repro.bench.generators import double, mult_like
+
+        aig = double(mult_like(8), 2)
+        rewriter = DACParaRewriter(config=dacpara_config())
+        result = rewriter.run(aig)
+        assert result.replacements > 0
+        assert result.attempted >= result.replacements
+        evaluated = sum(
+            s.activities for s in rewriter.last_stats.stages
+            if s.name == "eval"
+        )
+        assert result.replacements <= result.attempted <= evaluated
+
+
 class TestDACParaParallelism:
     def test_eval_stage_has_no_conflicts(self):
         """The lock-free evaluation operator can never conflict."""

@@ -4,8 +4,9 @@ Each seed generates a random strashed AIG and runs the full DACPara
 rewrite through every executor kind.  The oracle is layered:
 
 * ``process`` must be **byte-identical** to ``simulated`` (same output
-  graph, same result counters) — the fan-out merge replays worker
-  results through the simulated scheduler, so any divergence is a bug.
+  graph, same result counters) — unsharded, it runs the same batched
+  stages in-process; sharded, its workers run the same deterministic
+  per-shard pipeline — so any divergence is a bug.
 * ``serial`` must be byte-identical to ``simulated`` with one worker
   (a single worker admits exactly one interleaving).
 * ``threaded`` runs real OS threads, so its commit interleaving — and
@@ -18,7 +19,9 @@ rewrite through every executor kind.  The oracle is layered:
 A second axis pins the **columnar batch engines** against their scalar
 oracles: full runs with ``columnar_eval`` (and, independently,
 ``columnar_enum``) on versus off must be byte-identical on every
-deterministic executor (simulated, serial, process), and on the
+deterministic executor (simulated, serial, process — the pool-sized
+cases also through a sharded process run, so the kernels run inside
+shard workers), and on the
 threaded executor — whose full-run interleaving is
 scheduler-dependent — the eval *stage* in isolation must store the
 exact same candidates either way (it is lock-free, so per-root stores
@@ -34,8 +37,8 @@ semantic bar: matching simulation signatures and exact SAT
 equivalence against both the input and the unsharded result.
 
 The smoke tier (always on, fixed seeds — CI runs it per-push) covers
-``SMOKE_SEEDS`` plus two pool-sized circuits that genuinely cross the
-``MIN_FANOUT`` threshold.  The remaining ~200-seed sweep is marked
+``SMOKE_SEEDS`` plus pool-sized circuits large enough to decompose
+into real shards that ship to pool workers.  The remaining ~200-seed sweep is marked
 ``slow`` and excluded by the default ``-m "not slow"`` addopts; run it
 with ``pytest tests/test_differential_fuzz.py -m slow``.
 """
@@ -83,11 +86,12 @@ def fuzz_circuit(seed: int):
 
 
 def _run(base, kind: str, workers: int = 5, columnar: bool = True,
-         columnar_enum: bool = True):
+         columnar_enum: bool = True, shards: int = 1):
     aig = copy.deepcopy(base)
     config = dataclasses.replace(
         dacpara_config(workers=workers),
         columnar_eval=columnar, columnar_enum=columnar_enum,
+        shards=shards, shard_min_nodes=1,
     )
     engine = DACParaRewriter(config=config, executor_kind=kind, jobs=2)
     with warnings.catch_warnings():
@@ -163,24 +167,34 @@ def _threaded_enum_stage_cuts(base, columnar_enum: bool):
     return {v: cutman.fresh_cuts(v) for v in live}
 
 
-def check_enum_differential(base) -> None:
+#: (executor, logical workers, shards) of the columnar axes; the
+#: pool-sized tests add a sharded process run.
+COLUMNAR_RUNS = (("simulated", 5, 1), ("serial", 1, 1), ("process", 5, 1))
+POOL_COLUMNAR_RUNS = COLUMNAR_RUNS + (("process", 5, 4),)
+
+
+def check_enum_differential(base, runs=COLUMNAR_RUNS) -> None:
     """Columnar cut enumeration pinned byte-identical to the scalar
     merge oracle on every executor kind."""
-    for kind, workers in (("simulated", 5), ("serial", 1), ("process", 5)):
-        r_col, a_col = _run(base, kind, workers=workers, columnar_enum=True)
-        r_sca, a_sca = _run(base, kind, workers=workers, columnar_enum=False)
+    for kind, workers, shards in runs:
+        r_col, a_col = _run(base, kind, workers=workers, columnar_enum=True,
+                            shards=shards)
+        r_sca, a_sca = _run(base, kind, workers=workers, columnar_enum=False,
+                            shards=shards)
         assert result_fingerprint(r_col) == result_fingerprint(r_sca), kind
         assert aig_fingerprint(a_col) == aig_fingerprint(a_sca), kind
     assert _threaded_enum_stage_cuts(base, True) == \
         _threaded_enum_stage_cuts(base, False)
 
 
-def check_columnar_differential(base) -> None:
+def check_columnar_differential(base, runs=COLUMNAR_RUNS) -> None:
     """Batch-kernel eval pinned byte-identical to the scalar oracle on
     every executor kind."""
-    for kind, workers in (("simulated", 5), ("serial", 1), ("process", 5)):
-        r_col, a_col = _run(base, kind, workers=workers, columnar=True)
-        r_sca, a_sca = _run(base, kind, workers=workers, columnar=False)
+    for kind, workers, shards in runs:
+        r_col, a_col = _run(base, kind, workers=workers, columnar=True,
+                            shards=shards)
+        r_sca, a_sca = _run(base, kind, workers=workers, columnar=False,
+                            shards=shards)
         assert result_fingerprint(r_col) == result_fingerprint(r_sca), kind
         assert aig_fingerprint(a_col) == aig_fingerprint(a_sca), kind
     assert _threaded_eval_stage_prep(base, columnar=True) == \
@@ -351,9 +365,11 @@ def test_columnar_vs_scalar_smoke(seed):
 
 @pytest.mark.parametrize("seed", (303,))
 def test_columnar_vs_scalar_pool_sized(seed):
-    # Big enough that the process executor genuinely fans the batch
-    # kernels out to pool workers in both modes.
-    check_columnar_differential(mtm_like(num_pis=12, num_nodes=250, seed=seed))
+    # Big enough to decompose into shards, so the sharded process run
+    # scores candidates inside pool workers in both modes.
+    check_columnar_differential(
+        mtm_like(num_pis=12, num_nodes=250, seed=seed), POOL_COLUMNAR_RUNS
+    )
 
 
 @pytest.mark.parametrize("seed", SMOKE_SEEDS[:6])
@@ -363,24 +379,29 @@ def test_columnar_enum_vs_scalar_smoke(seed):
 
 @pytest.mark.parametrize("seed", (303,))
 def test_columnar_enum_vs_scalar_pool_sized(seed):
-    # Big enough that the process executor genuinely fans the merge
-    # worklists out to pool workers in both modes.
-    check_enum_differential(mtm_like(num_pis=12, num_nodes=250, seed=seed))
+    # Big enough to decompose into shards, so the sharded process run
+    # merges cut sets inside pool workers in both modes.
+    check_enum_differential(
+        mtm_like(num_pis=12, num_nodes=250, seed=seed), POOL_COLUMNAR_RUNS
+    )
 
 
 @pytest.mark.parametrize("seed", (101, 202))
 def test_fuzz_pool_sized(seed):
-    # Large enough that the process executor actually ships snapshots
-    # to the pool (both stages fan out past MIN_FANOUT) instead of
-    # falling back to in-parent execution.
+    # Large enough to decompose into shards, so the process executor
+    # actually ships snapshots to the pool instead of running every
+    # shard in-parent.
     base = mtm_like(num_pis=12, num_nodes=250, seed=seed)
-    r_sim, a_sim = _run(base, "simulated")
+    r_sim, a_sim = _run(base, "simulated", shards=4)
+    assert r_sim.shards >= 2
 
     aig = copy.deepcopy(base)
     obs = TracingObserver()
     engine = DACParaRewriter(
-        config=dacpara_config(workers=5), executor_kind="process",
-        jobs=2, observer=obs,
+        config=dataclasses.replace(
+            dacpara_config(workers=5), shards=4, shard_min_nodes=1
+        ),
+        executor_kind="process", jobs=2, observer=obs,
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -351,8 +351,8 @@ class TestExportRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# Integration: a real process fan-out populates the timeline
-# without perturbing results
+# Integration: a real shard fan-out populates the timeline without
+# perturbing results
 
 
 def _run(base, kind, config, observer=None):
@@ -369,12 +369,21 @@ def base_aig():
     return mtm_like(num_pis=20, num_nodes=500, seed=5)
 
 
+def _sharded(**over):
+    """The process executor only fans out shards; the floor of 1 lets
+    this small circuit decompose."""
+    return dataclasses.replace(
+        dacpara_config(workers=8), shards=4, shard_min_nodes=1, **over
+    )
+
+
 class TestProcessTelemetry:
     def test_worker_tracks_and_byte_identity(self, base_aig):
-        cfg = dacpara_config(workers=8)
+        cfg = _sharded()
         r_sim, a_sim = _run(base_aig, "simulated", cfg)
         obs = TracingObserver()
         r_proc, a_proc = _run(base_aig, "process", cfg, observer=obs)
+        assert r_proc.shards >= 2
         # Telemetry is a side channel: results stay byte-identical.
         assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
         assert aig_fingerprint(a_proc) == aig_fingerprint(a_sim)
@@ -402,20 +411,18 @@ class TestProcessTelemetry:
         assert gauges["pool_workers_seen"] >= 1.0
 
     def test_wall_telemetry_config_switch(self, base_aig):
-        cfg = dataclasses.replace(
-            dacpara_config(workers=8), wall_telemetry=False)
+        cfg = _sharded(wall_telemetry=False)
         obs = TracingObserver()
         _run(base_aig, "process", cfg, observer=obs)
         assert obs.wall.chunks == 0
         assert not obs.wall.worker_pids()
 
     def test_fault_instants_and_flight_dump(self, base_aig):
-        cfg = dataclasses.replace(
-            dacpara_config(workers=8),
-            fault_plan="raise@eval:0:99",  # poison chunk: retries out
+        cfg = _sharded(
+            fault_plan="raise@shard:0:99",  # poison chunk: retries out
             chunk_max_retries=1,
         )
-        r_sim, a_sim = _run(base_aig, "simulated", dacpara_config(workers=8))
+        r_sim, a_sim = _run(base_aig, "simulated", _sharded())
         obs = TracingObserver()
         r_proc, a_proc = _run(base_aig, "process", cfg, observer=obs)
         assert aig_fingerprint(a_proc) == aig_fingerprint(a_sim)
@@ -428,8 +435,10 @@ class TestProcessTelemetry:
         obs = TracingObserver()
         buf = io.StringIO()
         obs.progress = ProgressLine(stream=buf, min_interval=0.0, force=True)
-        _run(base_aig, "process", dacpara_config(workers=8), observer=obs)
+        _run(base_aig, "process", _sharded(), observer=obs)
         obs.progress.close()
         assert obs.progress.fields.get("chunks", 0) > 0
-        assert obs.progress.fields.get("stages", 0) > 0
+        # Stages run inside the shard workers, which carry no observer;
+        # the parent feeds the line with its seam-rotation passes.
+        assert obs.progress.fields.get("pass", 0) > 0
         assert "chunks" in buf.getvalue()

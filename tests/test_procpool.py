@@ -1,10 +1,11 @@
 """Process-pool executor, AIG snapshots, and the vectorized kernels.
 
-The headline guarantee under test: ``executor_kind="process"`` is
-*byte-identical* to ``"simulated"`` — same RewriteResult, same final
-graph, same stats, same metrics — because evaluation costs are
-data-driven and the fan-out merge replays them through the simulated
-scheduler.
+The headline guarantees under test: an unsharded
+``executor_kind="process"`` run is the simulated run — in-process,
+no worker started, byte-identical results, stats, metrics and trace —
+and a sharded process run ships each shard to a pool worker as one
+self-contained chunk and reproduces the sequential sharded run
+exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.core.operators import StageContext, make_eval_operator
 from repro.cuts import CutManager
 from repro.errors import ConfigError
 from repro.galois import ProcessExecutor, SimulatedExecutor, make_executor
-from repro.galois.procpool import MIN_FANOUT, default_jobs
+from repro.galois.procpool import default_jobs
 from repro.library import get_library
 from repro.npn import (
     canon_lut_ready,
@@ -206,63 +207,61 @@ class TestCrossExecutorEquivalence:
 
         snap_sim = run("simulated")
         snap_proc = run("process")
-        # The truth-table expand memo is global in a simulated run but
-        # per-chunk in enum fan-out workers, so its raw hit/miss counts
-        # legitimately diverge (worker-side counts are reported under
-        # worker_cut_tt_cache_*).  Everything data-driven must match.
-        memo_counters = {
-            "cut_tt_cache_hits_total", "cut_tt_cache_misses_total",
-            "cut_expand_cache_evictions_total",
-        }
-        proc_only_counters = (
-            "snapshot_bytes_shipped_total",
-            "worker_snapshot_cache_",
-            "worker_cut_tt_cache_",
-            "worker_cut_expand_cache_",
-        )
+        # The process executor runs unsharded stages in-process, so
+        # every metric matches except the kernels' own wall-clock.
+        wall_clock = {"eval_kernel_seconds", "enum_kernel_seconds"}
+        assert snap_sim["counters"] == snap_proc["counters"]
+        assert set(snap_sim["histograms"]) == set(snap_proc["histograms"])
+        for name, hist in snap_sim["histograms"].items():
+            if name.split("{")[0] not in wall_clock:
+                assert hist == snap_proc["histograms"][name]
 
-        def split(counters):
-            keep, extra = {}, {}
-            for key, value in counters.items():
-                name = key.split("{")[0]
-                if name in memo_counters or name.startswith(proc_only_counters):
-                    extra[key] = value
-                else:
-                    keep[key] = value
-            return keep, extra
+    def test_unsharded_process_run_starts_no_worker(self, monkeypatch):
+        """An unsharded process run never builds a pool, and its stats
+        and exported trace are the simulated run's, byte for byte."""
+        import concurrent.futures
+        import multiprocessing
 
-        sim_keep, sim_extra = split(snap_sim["counters"])
-        proc_keep, proc_extra = split(snap_proc["counters"])
-        assert sim_keep == proc_keep
-        # The simulated run must not emit any process-only counters.
-        assert all(k.split("{")[0] in memo_counters for k in sim_extra)
-        proc_only = {
-            "eval_fanout_wall_seconds", "enum_fanout_wall_seconds",
-            "snapshot_bytes", "snapshot_delta_ratio",
-            "chunk_wall_seconds",  # wall-clock telemetry: physical only
-        }
-        # Batch-engine telemetry both engines emit but whose values
-        # legitimately differ: kernel seconds are wall-clock, and the
-        # batch size is one whole worklist in-process versus one chunk
-        # per observation under the pool's fan-out.
-        batch_shape = {
-            "eval_kernel_seconds", "eval_batch_size",
-            "enum_kernel_seconds", "enum_batch_size",
-        }
-        shared = set(snap_sim["histograms"]) & set(snap_proc["histograms"])
-        assert set(snap_sim["histograms"]) - set(snap_proc["histograms"]) == set()
-        extras = set(snap_proc["histograms"]) - set(snap_sim["histograms"])
-        assert {e.split("{")[0] for e in extras} <= proc_only
-        for name in shared:
-            if name.split("{")[0] in batch_shape:
-                continue
-            assert snap_sim["histograms"][name] == snap_proc["histograms"][name]
+        from repro.obs.export import chrome_trace_json
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("unsharded process run started a pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        base = mtm_like(num_pis=24, num_nodes=600, seed=0)
+
+        def run(kind):
+            aig = copy.deepcopy(base)
+            obs = TracingObserver()
+            engine = DACParaRewriter(
+                config=dacpara_config(workers=8), executor_kind=kind,
+                jobs=2, observer=obs,
+            )
+            result = engine.run(aig)
+            trace = chrome_trace_json(obs.tracer, wall=obs.wall)
+            stages = [
+                (s.name, s.activities, s.committed, s.conflicts,
+                 s.useful_units, s.aborted_units, s.retries,
+                 s.start_time, s.end_time)
+                for s in engine.last_stats.stages
+            ]
+            return result, aig, trace, stages, obs
+
+        r_sim, a_sim, t_sim, s_sim, _ = run("simulated")
+        children_before = set(multiprocessing.active_children())
+        r_proc, a_proc, t_proc, s_proc, obs = run("process")
+        assert set(multiprocessing.active_children()) == children_before
+        assert not obs.wall.chunks and not obs.wall.worker_pids()
+        assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
+        assert aig_fingerprint(a_proc) == aig_fingerprint(a_sim)
+        assert s_proc == s_sim
+        assert t_proc == t_sim
 
 
 class TestProcessExecutor:
     def test_small_worklist_stays_in_parent(self):
         aig = random_aig(num_pis=6, num_nodes=60, num_pos=4, seed=3)
-        live = [v for v in aig.topo_ands()][: MIN_FANOUT - 1]
+        live = aig.topo_ands()[:15]
         cutman = CutManager(aig, k=4, max_cuts=12)
         for root in live:
             cutman.fresh_cuts(root)
@@ -306,13 +305,11 @@ class TestProcessExecutor:
             }
             return stage, {v: (c.gain, c.canon_tt) for v, c in stored.items()}
 
-        def broken_pool():
-            ex = ProcessExecutor(4, jobs=2)
-            ex._pool_broken = True  # force the in-parent path
-            return ex
-
         s_sim, cand_sim = eval_stage(lambda: SimulatedExecutor(4), native=False)
-        s_par, cand_par = eval_stage(broken_pool, native=True)
+        # The process executor's eval stage always runs in-parent.
+        s_par, cand_par = eval_stage(
+            lambda: ProcessExecutor(4, jobs=2), native=True
+        )
         assert cand_sim == cand_par
         assert (s_sim.useful_units, s_sim.end_time) == \
                (s_par.useful_units, s_par.end_time)
@@ -331,153 +328,188 @@ class TestProcessExecutor:
         ex.close()
         ex.close()
 
-    def test_custom_library_uses_generic_path(self):
+    def test_custom_library_uses_generic_path(self, monkeypatch):
+        """Pool workers rebuild the default library, so a sharded
+        process run with a custom library keeps its shards on the
+        sequential in-parent path — no pool is ever built."""
+        import concurrent.futures
+        import dataclasses
+
         from repro.library import StructureLibrary
 
-        aig = mtm_like(num_pis=16, num_nodes=100, seed=9)
-        engine = DACParaRewriter(
-            library=StructureLibrary(), executor_kind="process", jobs=1
+        def no_pool(*args, **kwargs):
+            raise AssertionError("custom-library run started a pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        aig = mtm_like(num_pis=12, num_nodes=250, seed=404)
+        cfg = dataclasses.replace(
+            dacpara_config(workers=8), shards=4, shard_min_nodes=1
         )
-        baseline = DACParaRewriter(executor_kind="simulated")
+        engine = DACParaRewriter(
+            config=cfg, library=StructureLibrary(), executor_kind="process",
+            jobs=1,
+        )
+        baseline = DACParaRewriter(config=cfg, executor_kind="simulated")
         a1, a2 = copy.deepcopy(aig), copy.deepcopy(aig)
         r1 = engine.run(a1)
         r2 = baseline.run(a2)
+        assert r1.shards >= 2
         # default-construction library has identical content, so results
-        # agree even though the custom one forces the operator path
-        assert (r1.area_after, r1.replacements) == (r2.area_after, r2.replacements)
+        # agree even though the custom one keeps the shards in-parent
+        assert result_fingerprint(r1) == result_fingerprint(r2)
+        assert aig_fingerprint(a1) == aig_fingerprint(a2)
+
+
+def _plan_shard_tasks(aig):
+    """``(index, Shard)`` run_shards tasks for a 4-way plan of ``aig``."""
+    from repro.core.partition import plan_regions
+
+    plan, reason = plan_regions(aig, 4, 1)
+    assert plan is not None, reason
+    return [(shard.index, shard) for shard in plan.shards]
+
+
+class TestShardFanout:
+    """The process executor's one fan-out: whole shards, each chunk a
+    self-contained payload (the pass's pickled snapshot plus one
+    shard's var lists), so workers hold no state between chunks."""
+
+    BASE = staticmethod(lambda: mtm_like(num_pis=12, num_nodes=250, seed=404))
+
+    def test_each_chunk_ships_one_snapshot_blob(self):
+        aig = self.BASE()
+        tasks = _plan_shard_tasks(aig)
+        blob = pickle.dumps(
+            AigSnapshot.capture(aig), protocol=pickle.HIGHEST_PROTOCOL
+        )
+        obs = TracingObserver()
+        ex = ProcessExecutor(4, observer=obs, jobs=2)
+        try:
+            merged = ex.run_shards(aig, tasks, dacpara_config(workers=4))
+        finally:
+            ex.close()
+        assert sorted(index for index, _, _ in merged) == \
+            [index for index, _ in tasks]
+        assert ex.snapshot_bytes_total == len(blob) * len(tasks)
+        counters = obs.metrics.snapshot()["counters"]
+        assert counters["snapshot_bytes_shipped_total{stage=shard}"] == \
+            ex.snapshot_bytes_total
+        assert counters["shard_runs_total"] == len(tasks)
+        assert ex.shard_chunks_seen == len(tasks)
+        # No per-level fan-out is left to spend time in.
+        assert ex.enum_wall_seconds == ex.eval_wall_seconds == 0.0
 
 
 class TestEnumFanout:
-    """Process-parallel cut enumeration: byte-identity under every
-    shipping configuration, plus the worker-cache refill path."""
+    """What replaced the per-level enum/eval fan-out and its worker
+    cache, delta and shared-memory transport: the level stages stay
+    in-process, and the shard fan-out needs no state or shared memory
+    on the worker side."""
 
-    BASE = staticmethod(lambda: mtm_like(num_pis=20, num_nodes=500, seed=5))
-
-    def _run_engine(self, base, kind, config=None):
-        aig = copy.deepcopy(base)
-        obs = TracingObserver()
-        engine = DACParaRewriter(
-            config=config or dacpara_config(workers=8),
-            executor_kind=kind, jobs=2, observer=obs,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result = engine.run(aig)
-        return result, aig, obs.metrics.snapshot()
-
-    @staticmethod
-    def _shipped_by_kind(metrics):
-        out = {}
-        for key, value in metrics["counters"].items():
-            if key.startswith("snapshot_bytes_shipped_total"):
-                kind = key.split("kind=")[1].split(",")[0].rstrip("}")
-                out[kind] = out.get(kind, 0) + value
-        return out
+    BASE = staticmethod(lambda: mtm_like(num_pis=12, num_nodes=250, seed=404))
 
     def test_enum_fanout_off_matches_on(self):
+        """The enum stage no longer fans out at all: a process run's
+        enum and eval stages ship no snapshot bytes and reproduce the
+        simulated run, unsharded and sharded alike."""
         import dataclasses
 
-        base = self.BASE()
-        r_sim, a_sim, _ = self._run_engine(base, "simulated")
-        r_on, a_on, m_on = self._run_engine(base, "process")
-        cfg = dataclasses.replace(dacpara_config(workers=8), enum_fanout=False)
-        r_off, a_off, _ = self._run_engine(base, "process", config=cfg)
-        for r, a in ((r_on, a_on), (r_off, a_off)):
-            assert result_fingerprint(r) == result_fingerprint(r_sim)
-            assert aig_fingerprint(a) == aig_fingerprint(a_sim)
-        # With fan-out on, the enum stage itself ships snapshots.
-        enum_bytes = sum(
-            v for k, v in m_on["counters"].items()
-            if k.startswith("snapshot_bytes_shipped_total")
-            and "stage=enum" in k
-        )
-        assert enum_bytes > 0
-
-    def test_delta_too_large_always_recaptures(self):
-        import dataclasses
-
-        base = self.BASE()
-        r_sim, a_sim, _ = self._run_engine(base, "simulated")
-        cfg = dataclasses.replace(
-            dacpara_config(workers=8), delta_max_fraction=0.0
-        )
-        r_proc, a_proc, metrics = self._run_engine(base, "process", config=cfg)
-        assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
-        assert aig_fingerprint(a_proc) == aig_fingerprint(a_sim)
-        shipped = self._shipped_by_kind(metrics)
-        # fraction 0.0 forbids deltas: every mutated stage recaptures in
-        # full, unmutated stages still reuse the worker-cached base.
-        assert shipped.get("delta", 0) == 0
-        assert shipped.get("full", 0) > 0
-
-    def test_no_shared_memory_fallback(self):
-        import dataclasses
-
-        base = self.BASE()
-        r_sim, a_sim, _ = self._run_engine(base, "simulated")
-        cfg = dataclasses.replace(dacpara_config(workers=8), shared_memory=False)
-        r_proc, a_proc, m_pickle = self._run_engine(base, "process", config=cfg)
-        assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
-        assert aig_fingerprint(a_proc) == aig_fingerprint(a_sim)
-        # Pickled bases ride the pipe in full, so the no-shm run ships
-        # strictly more bytes than the shm run for the same work.
-        _, _, m_shm = self._run_engine(base, "process")
-        assert sum(self._shipped_by_kind(m_pickle).values()) > \
-               sum(self._shipped_by_kind(m_shm).values())
-
-    def test_default_run_uses_deltas(self):
-        _, _, metrics = self._run_engine(self.BASE(), "process")
-        shipped = self._shipped_by_kind(metrics)
-        assert shipped.get("delta", 0) > 0
-        assert any(
-            k.startswith("snapshot_delta_ratio")
-            for k in metrics["histograms"]
-        )
+        for config in (
+            dacpara_config(workers=8),
+            dataclasses.replace(
+                dacpara_config(workers=8), shards=4, shard_min_nodes=1
+            ),
+        ):
+            runs = {}
+            for kind in ("simulated", "process"):
+                aig = self.BASE()
+                obs = TracingObserver()
+                engine = DACParaRewriter(
+                    config=config, executor_kind=kind, jobs=2, observer=obs
+                )
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    result = engine.run(aig)
+                runs[kind] = (result, aig, obs.metrics.snapshot())
+            r_sim, a_sim, _ = runs["simulated"]
+            r_proc, a_proc, metrics = runs["process"]
+            assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
+            assert aig_fingerprint(a_proc) == aig_fingerprint(a_sim)
+            shipped = {
+                key: value for key, value in metrics["counters"].items()
+                if key.startswith("snapshot_bytes_shipped_total")
+            }
+            assert not any(
+                "stage=enum" in key or "stage=eval" in key
+                for key in shipped
+            )
+            if config.shards > 1:
+                assert r_proc.shards >= 2
+                assert shipped["snapshot_bytes_shipped_total{stage=shard}"] > 0
+            else:
+                assert shipped == {}
 
     def test_worker_cache_refill_after_pool_restart(self):
-        import dataclasses
+        """There is no worker cache left to refill: a pool replaced
+        between fan-outs has never seen the graph, and self-contained
+        chunks make that invisible — the payloads match the in-parent
+        computation exactly."""
+        from repro.galois.procpool import _MetricCollector, _shard_tasks
 
-        aig = mtm_like(num_pis=16, num_nodes=300, seed=21)
-        # With shared memory on, any worker can re-attach the base from
-        # its handle and no cache miss is possible; the refill protocol
-        # exists for the pickle-base path, so test it there.
-        config = dataclasses.replace(
-            dacpara_config(workers=4), shared_memory=False
+        aig = self.BASE()
+        tasks = _plan_shard_tasks(aig)
+        config = dacpara_config(workers=4)
+        want = sorted(
+            _shard_tasks(aig, tasks, config, _MetricCollector()),
+            key=lambda entry: entry[0],
         )
-
-        def prepped_ctx(a):
-            cutman = CutManager(a, k=4, max_cuts=12)
-            for root in a.topo_ands():
-                cutman.fresh_cuts(root)
-            return StageContext(
-                aig=a, cutman=cutman, library=get_library(), config=config
-            )
-
-        a_proc = copy.deepcopy(aig)
-        ctx = prepped_ctx(a_proc)
         ex = ProcessExecutor(4, jobs=2)
         try:
-            ex.run_eval("eval", a_proc.topo_ands(), ctx)
-            assert ex.cache_refills == 0
-            # Kill the pool: the replacement's fresh workers have never
-            # seen this run's base snapshot, so the "cached" refs the
-            # shipper sends next must miss and trigger refills.
+            first = ex.run_shards(aig, tasks, config)
             ex._pool.shutdown(wait=True, cancel_futures=True)
             ex._pool = None
-            ex.run_eval("eval", a_proc.topo_ands(), ctx)
-            assert ex.cache_refills > 0
-            assert ex.shipped_bytes.get("refill", 0) > 0
+            second = ex.run_shards(aig, tasks, config, pass_index=1)
         finally:
             ex.close()
-        # The refilled pass still computes the exact same candidates.
-        a_ref = copy.deepcopy(aig)
-        ctx_ref = prepped_ctx(a_ref)
-        sim = SimulatedExecutor(4)
-        sim.run("eval", a_ref.topo_ands(), make_eval_operator(ctx_ref))
-        got = {v: ctx.prep_info.get(v) for v in a_proc.topo_ands()}
-        want = {v: ctx_ref.prep_info.get(v) for v in a_ref.topo_ands()}
-        assert {v: c and (c.gain, c.canon_tt) for v, c in got.items()} == \
-               {v: c and (c.gain, c.canon_tt) for v, c in want.items()}
+        for got in (first, second):
+            got = sorted(got, key=lambda entry: entry[0])
+            assert [(i, p["nodes"], p["outs"], p["counters"], u)
+                    for i, p, u in got] == \
+                   [(i, p["nodes"], p["outs"], p["counters"], u)
+                    for i, p, u in want]
+        assert ex.pool_restarts == 0  # a shut-down pool is not a fault
+        assert ex.shard_chunks_seen == 2 * len(tasks)
+
+    def test_no_shared_memory_fallback(self, tmp_path):
+        """Pickled blobs are the only transport, so there is no
+        shared-memory path to fall back from: a sharded process run
+        never starts the multiprocessing resource tracker (checked in
+        a fresh interpreter, so other tests cannot have started it)."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import dataclasses\n"
+            "from multiprocessing import resource_tracker\n"
+            "from repro.bench import mtm_like\n"
+            "from repro.config import dacpara_config\n"
+            "from repro.core import DACParaRewriter\n"
+            "cfg = dataclasses.replace(dacpara_config(workers=4), shards=4,\n"
+            "    shard_min_nodes=1, executor='process', jobs=2)\n"
+            "aig = mtm_like(num_pis=12, num_nodes=250, seed=404)\n"
+            "result = DACParaRewriter(config=cfg).run(aig)\n"
+            "assert result.shards >= 2, result.shard_fallback\n"
+            "print(resource_tracker._resource_tracker._fd)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=str(tmp_path), env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "None"
 
 
 class TestFallbackWarning:
