@@ -23,11 +23,9 @@ from .simulate import (
     simulate_pattern,
 )
 from .io_aiger import read_aiger, write_aag, write_aig
-from .snapshot import AigSnapshot
 
 __all__ = [
     "Aig",
-    "AigSnapshot",
     "KIND_AND",
     "KIND_CONST",
     "KIND_DEAD",

@@ -8,18 +8,19 @@ Three timings, written to ``BENCH_hotpath.json`` (``repro bench`` or
   is reported separately and excluded from the lookup rate: the build
   is paid once per process, the lookups dominate every rewrite pass.
 * **cut-enumeration** — k-feasible cut enumeration throughput on a
-  generated MtM-like circuit: the scalar per-pair merge loop versus
-  the columnar worklist kernels (``columnar_enum``), with an in-bench
-  assertion that both produce identical cut sets and work charges,
-  plus the truth-table expand-cache hit counters.
+  generated MtM-like circuit: the per-node scalar merge loop (the
+  enumeration oracle) versus the columnar worklist kernel the enum
+  stage runs, with an in-bench assertion that both produce identical
+  cut sets and work charges, plus the truth-table expand-cache hit
+  counters.
 * **eval-stage** — evaluation-stage throughput of the scalar eval
   operator on the simulated executor.
 * **batch-eval** — candidate scoring alone (no executor, no replay):
   the scalar per-cut loop versus the columnar batch engine
   (:func:`~repro.rewrite.columnar.eval_tasks_columnar`) on the same
-  snapshot and cuts, with an in-bench assertion that both produce
-  identical candidates.  This isolates the kernel-level speedup the
-  ``columnar_eval`` config knob buys.
+  graph and cuts, with an in-bench assertion that both produce
+  identical candidates.  This isolates the kernel-level speedup of the
+  eval stage over its scalar oracle.
 * **degraded-eval** — a sharded rewrite on the process executor with
   injected shard faults (one shard chunk raises, one SIGKILLs its
   worker): what chunk retries and a pool restart cost relative to the
@@ -93,13 +94,12 @@ def _bench_npn_canon(quick: bool) -> Dict[str, object]:
 
 
 def _bench_cut_enumeration(quick: bool) -> Dict[str, object]:
-    """Cut enumeration throughput: the scalar per-pair merge loop
-    versus the columnar worklist kernels (``enum_harvest`` →
-    ``merge_tasks_columnar`` → ``install_cuts``, level by level — the
-    same driver shape the executors' batched enum stage uses).  Both
-    paths are asserted to produce identical per-root cut sets and
-    identical work charges before anything is timed; this is the
-    number the ``columnar_enum`` knob moves.
+    """Cut enumeration throughput: the per-node scalar merge loop
+    (``fresh_cuts`` root by root) versus the columnar worklist kernel
+    (``enum_harvest`` → ``merge_tasks_columnar`` → ``install_cuts``,
+    level by level — the same driver shape the executors' batched enum
+    stage uses).  Both paths are asserted to produce identical per-root
+    cut sets and identical work charges before anything is timed.
     """
     aig = mtm_like(num_pis=24, num_nodes=400 if quick else 2000, seed=3)
     live = aig.topo_ands()
@@ -109,7 +109,7 @@ def _bench_cut_enumeration(quick: bool) -> Dict[str, object]:
     level_order = sorted(levels)
 
     def run_scalar() -> CutManager:
-        cutman = CutManager(aig, k=4, max_cuts=12, columnar=False)
+        cutman = CutManager(aig, k=4, max_cuts=12)
         for root in live:
             cutman.fresh_cuts(root)
         return cutman
@@ -202,12 +202,10 @@ def _bench_eval_stage(quick: bool) -> Dict[str, object]:
 
 def _bench_batch_eval(quick: bool) -> Dict[str, object]:
     """Candidate scoring alone: scalar per-cut loop versus the
-    columnar batch engine, on the same snapshot and pre-enumerated
-    cuts.  No executor or replay in the loop — this is the number the
-    ``columnar_eval`` knob moves.  Both paths are asserted to produce
-    identical candidate lists before anything is timed.
+    columnar batch engine, on the same live graph and pre-enumerated
+    cuts.  No executor or replay in the loop.  Both paths are asserted
+    to produce identical candidate lists before anything is timed.
     """
-    from ..aig.snapshot import AigSnapshot
     from ..galois.procpool import _MetricCollector
     from ..npn import ensure_canon_lut
     from ..rewrite.base import eval_tasks_scalar
@@ -223,20 +221,18 @@ def _bench_batch_eval(quick: bool) -> Dict[str, object]:
     for root in live:
         cutman.fresh_cuts(root)
     tasks = cutman.eval_harvest(live)
-    snap = AigSnapshot.capture(aig)
 
-    # Warm-up doubles as the identity check and yields the vectorized/
-    # fallback split (observed only when a collector is attached).
+    # Warm-up doubles as the identity check and yields the vectorized
+    # candidate count (observed only when a collector is attached).
     collector = _MetricCollector()
     batch_results = eval_tasks_columnar(
-        snap, tasks, config, library, observer=collector
+        aig, tasks, config, library, observer=collector
     )
     scalar_results = eval_tasks_scalar(
-        snap, tasks, config, library, observer=_MetricCollector()
+        aig, tasks, config, library, observer=_MetricCollector()
     )
     identical = scalar_results == batch_results
     vectorized = collector.counts.get(("eval_vectorized_candidates_total", ()), 0)
-    fallback = collector.counts.get(("eval_scalar_fallback_total", ()), 0)
 
     # Interleaved best-of-N: single-core containers are noisy and a
     # min-of-mins pairs each path's best run against the other's.
@@ -244,16 +240,15 @@ def _bench_batch_eval(quick: bool) -> Dict[str, object]:
     scalar_times, batch_times = [], []
     for _ in range(reps):
         t0 = time.perf_counter()
-        eval_tasks_scalar(snap, tasks, config, library,
+        eval_tasks_scalar(aig, tasks, config, library,
                           observer=_MetricCollector())
         scalar_times.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        eval_tasks_columnar(snap, tasks, config, library)
+        eval_tasks_columnar(aig, tasks, config, library)
         batch_times.append(time.perf_counter() - t0)
     scalar_seconds = min(scalar_times)
     batch_seconds = min(batch_times)
 
-    total = vectorized + fallback
     return {
         "circuit": aig.name,
         "nodes": len(live),
@@ -268,8 +263,6 @@ def _bench_batch_eval(quick: bool) -> Dict[str, object]:
         "speedup": round(scalar_seconds / batch_seconds, 2)
         if batch_seconds > 0 else None,
         "vectorized_candidates": vectorized,
-        "scalar_fallback_candidates": fallback,
-        "vectorized_fraction": round(vectorized / total, 4) if total else None,
     }
 
 
@@ -350,7 +343,7 @@ def _bench_sharded_rewrite(quick: bool, jobs: Optional[int]) -> Dict[str, object
 
     from ..aig.simulate import random_simulation
     from ..core.dacpara import DACParaRewriter
-    from ..core.partition import extract_regions
+    from ..core.partition import plan_regions
 
     num_nodes = 2000 if quick else 52000
     shard_min_nodes = 64 if quick else 256
@@ -360,7 +353,7 @@ def _bench_sharded_rewrite(quick: bool, jobs: Optional[int]) -> Dict[str, object
 
     base = fresh()
     base_sig = random_simulation(base, width=256, seed=1)
-    plan = extract_regions(base, 4, shard_min_nodes)
+    plan = plan_regions(base, 4, shard_min_nodes)[0]
     # Single-core default resolves to one job, which serializes the
     # shard fan-out entirely; force enough jobs to cover the shards.
     used_jobs = jobs if jobs is not None else max(4, os.cpu_count() or 1)

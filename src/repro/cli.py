@@ -129,10 +129,6 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
         config_updates["shard_passes"] = args.shard_passes
     if args.no_boundary_cleanup:
         config_updates["boundary_cleanup"] = False
-    if args.scalar_eval:
-        config_updates["columnar_eval"] = False
-    if args.scalar_enum:
-        config_updates["columnar_enum"] = False
     if args.chunk_timeout is not None:
         config_updates["chunk_timeout_seconds"] = (
             args.chunk_timeout if args.chunk_timeout > 0 else None
@@ -144,7 +140,7 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
     if config_updates:
         if not hasattr(engine, "config"):
             print(
-                f"engine {args.engine!r} does not take snapshot options",
+                f"engine {args.engine!r} does not take config options",
                 file=sys.stderr,
             )
             return 1
@@ -307,19 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
              "sharded passes (faster, recovers less area)",
     )
     p_rw.add_argument(
-        "--scalar-eval", action="store_true",
-        help="score candidates with the per-cut scalar loop instead of "
-             "the columnar batch kernels (slower; the differential "
-             "oracle the batch engine is pinned against)",
-    )
-    p_rw.add_argument(
-        "--scalar-enum", action="store_true",
-        help="merge fanin cut sets with the per-pair scalar loop "
-             "instead of the columnar union/dominance kernels (slower; "
-             "the differential oracle the batch merge is pinned "
-             "against)",
-    )
-    p_rw.add_argument(
         "--chunk-timeout", type=float, default=None, metavar="SECONDS",
         help="deadline per fanned-out chunk; a chunk past it is "
              "computed in-parent and the wedged pool restarted "
@@ -476,7 +459,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"batch-eval: batch {be['batch_nodes_per_second']:.0f} nodes/s vs "
         f"scalar {be['scalar_nodes_per_second']:.0f} nodes/s "
         f"(speedup {be['speedup']:.1f}x, "
-        f"vectorized {be['vectorized_fraction']:.1%}, "
         f"identical={be['identical_results']})"
     )
     deg = report["degraded_eval"]

@@ -51,8 +51,9 @@ class RewriteConfig:
     # remaining chunks degrade to in-parent computation.
     pool_restart_budget: int = 2
     # Fault-injection plan for the chaos tests: entries
-    # "mode@stage:chunk[:fires]" (mode = kill/hang/raise/corrupt)
-    # separated by "," or ";"; None falls back to $REPRO_FAULT_PLAN.
+    # "mode@shard:chunk[:fires]" (mode = kill/hang/raise/corrupt; stage
+    # and chunk may be "*") separated by "," or ";"; None falls back to
+    # $REPRO_FAULT_PLAN.
     fault_plan: Optional[str] = None
     # Shard-parallel rewriting: split the graph into up to this many
     # TFI/TFO-disjoint PO-cone regions and run the *whole* pipeline per
@@ -63,7 +64,7 @@ class RewriteConfig:
     # Floor on the owned-node count a balanced shard must reach: the
     # extractor lowers the shard count (and, below two usable shards,
     # disables sharding) rather than fan out regions too small to pay
-    # for their snapshot round-trip.
+    # for their chunk round-trip.
     shard_min_nodes: int = 256
     # Seam-rotation passes for a sharded run: each pass re-plans the
     # regions with a rotated PO grouping, so the frozen boundary lands
@@ -75,31 +76,6 @@ class RewriteConfig:
     # former boundary and dangling nodes, recovering seam-crossing cuts
     # no shard could see.  Only meaningful with shards > 1.
     boundary_cleanup: bool = True
-    # Evaluation-stage engine: True scores whole chunks of candidates
-    # through the columnar batch kernels (numpy NPN/class gathers plus
-    # a deref-hoisted scoring loop over flat columns); False routes
-    # every candidate through the per-call scalar path — slower, kept
-    # as the differential oracle for the batch engine.  Results are
-    # byte-identical either way (pinned by tests/test_differential_
-    # fuzz.py across all four executors).
-    columnar_eval: bool = True
-    # Enumeration-stage engine: True merges fanin cut sets through the
-    # columnar batch kernels (one numpy union/feasibility kernel over
-    # a whole worklist of harvested roots, plus signature-driven
-    # dominance filtering); False keeps every merge on the per-pair
-    # scalar loop — slower, kept as the differential oracle.  Results,
-    # work charges and replay are byte-identical either way (pinned by
-    # tests/test_differential_fuzz.py across all four executors).
-    columnar_enum: bool = True
-    # Worker-side wall-clock telemetry for the process executor: each
-    # chunk ships its phase spans back for the observer's WallTimeline.
-    # Only active when a tracing observer is attached (the no-op
-    # observer records nothing either way); False silences it even
-    # under tracing.
-    wall_telemetry: bool = True
-    # Chunk telemetry records the flight-recorder ring keeps for
-    # post-mortem dumps on quarantine / pool restart.
-    flight_recorder_size: int = 64
 
     def __post_init__(self) -> None:
         if self.cut_size != 4:
@@ -125,8 +101,6 @@ class RewriteConfig:
             raise ConfigError("chunk_max_retries must be >= 0")
         if self.pool_restart_budget < 0:
             raise ConfigError("pool_restart_budget must be >= 0")
-        if self.flight_recorder_size < 1:
-            raise ConfigError("flight_recorder_size must be >= 1")
         if self.shards < 1:
             raise ConfigError("shards must be >= 1")
         if self.shard_min_nodes < 1:

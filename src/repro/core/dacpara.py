@@ -105,10 +105,7 @@ class DACParaRewriter:
             delay_before=aig.max_level(),
             delay_after=aig.max_level(),
         )
-        cutman = CutManager(
-            aig, k=config.cut_size, max_cuts=config.max_cuts,
-            columnar=config.columnar_enum,
-        )
+        cutman = CutManager(aig, k=config.cut_size, max_cuts=config.max_cuts)
         ctx = StageContext(
             aig=aig, cutman=cutman, library=self.library, config=config,
             validate=self.validate, observer=obs,

@@ -12,9 +12,9 @@ This module runs divide-and-conquer one level up:
    nodes become pseudo-PIs) and the *entire*
    enumerate/evaluate/replace level pipeline runs on it — on pool
    workers via :meth:`~repro.galois.procpool.ProcessExecutor.run_shards`
-   (each shard chunk carries the graph snapshot, pickled once per
-   pass, plus its var lists), or sequentially in-parent for the
-   in-process executors;
+   (each shard chunk carries the shard's var lists plus its owned
+   nodes' fanin pairs, :func:`shard_fanins`), or sequentially
+   in-parent for the in-process executors;
 3. results come back as renumbered node lists and are spliced into the
    parent graph through :func:`~repro.core.validation.
    validate_shard_payload` — rebuilding through ``Aig.and_`` *is* the
@@ -69,21 +69,35 @@ SHARD_CHECK_WIDTH = 64
 
 def shard_subconfig(config):
     """The per-shard run configuration: sharding disabled (no nested
-    pools — the worker pipeline runs on the simulated executor), fault
-    injection cleared (faults are injected at the shard fan-out, not
-    inside the already-failed worker), telemetry off."""
+    pools — the worker pipeline runs on the simulated executor) and
+    fault injection cleared (faults are injected at the shard fan-out,
+    not inside the already-failed worker)."""
     return dataclasses.replace(
         config,
         shards=1,
         executor="simulated",
         fault_plan=None,
-        wall_telemetry=False,
     )
 
 
-def build_shard_aig(src, shard: Shard) -> Tuple[Aig, Dict[int, int]]:
-    """Extract ``shard`` from ``src`` (a live Aig or an AigSnapshot)
-    into a fresh sub-AIG.
+def shard_fanins(aig: Aig, shard: Shard) -> List[Tuple[int, int]]:
+    """The fanin literal pairs of ``shard``'s owned nodes, in
+    ``shard.owned`` order, read from the live graph.
+
+    Together with the shard itself this is all
+    :func:`build_shard_aig` reads: a pool worker gets the pairs in its
+    chunk, and every in-parent path captures them with this same
+    function, so all paths rebuild the same sub-AIG.
+    """
+    fanins = aig.fanins
+    return [fanins(v) for v in shard.owned]
+
+
+def build_shard_aig(
+    shard: Shard, fanins: List[Tuple[int, int]]
+) -> Tuple[Aig, Dict[int, int]]:
+    """Rebuild ``shard`` as a fresh sub-AIG from its captured owned-node
+    fanin pairs (:func:`shard_fanins`).
 
     Support nodes become the sub-graph's PIs in ``shard.support``
     order; owned nodes are replayed through ``and_`` in topological
@@ -95,11 +109,7 @@ def build_shard_aig(src, shard: Shard) -> Tuple[Aig, Dict[int, int]]:
     mapping: Dict[int, int] = {0: LIT_FALSE}
     for v in shard.support:
         mapping[v] = sub.add_pi()
-    fanin0 = src.fanin0
-    fanin1 = src.fanin1
-    for v in shard.owned:
-        f0 = fanin0(v)
-        f1 = fanin1(v)
+    for v, (f0, f1) in zip(shard.owned, fanins):
         mapping[v] = sub.and_(
             mapping[lit_var(f0)] ^ (f0 & 1),
             mapping[lit_var(f1)] ^ (f1 & 1),
@@ -145,13 +155,15 @@ def _serialize_sub(sub: Aig, k: int) -> Tuple[List[tuple], List[int]]:
     return nodes, outs
 
 
-def rewrite_shard(src, shard: Shard, config) -> dict:
-    """Run the full DACPara pipeline on one shard; returns the splice
-    payload.
+def rewrite_shard(
+    shard: Shard, fanins: List[Tuple[int, int]], config
+) -> dict:
+    """Run the full DACPara pipeline on one shard, rebuilt from its
+    captured fanin pairs; returns the splice payload.
 
-    Runs identically against the live graph (sequential in-process
-    mode, fault fallback) or a snapshot (pool worker): the sub-AIG
-    build reads only fanins and levels, and the rewrite inside is
+    Runs identically in a pool worker and in-parent (sequential
+    in-process mode, fault fallback): the sub-AIG is built from the
+    shard and ``fanins`` alone, and the rewrite inside is
     deterministic, so every path produces the same payload bytes.
     ``ok`` records the worker-side pre/post simulation-signature
     check — a guard the merge validation refuses to splice without.
@@ -159,7 +171,7 @@ def rewrite_shard(src, shard: Shard, config) -> dict:
     from .dacpara import DACParaRewriter
 
     start = time.perf_counter()
-    sub, _ = build_shard_aig(src, shard)
+    sub, _ = build_shard_aig(shard, fanins)
     ands_before = sub.num_ands
     pre = random_simulation(sub, width=SHARD_CHECK_WIDTH, seed=config.seed)
     engine = DACParaRewriter(
@@ -356,7 +368,9 @@ def run_sharded(rewriter, aig: Aig) -> Optional[RewriteResult]:
             else:
                 merged = []
                 for index, shard in tasks:
-                    payload = rewrite_shard(aig, shard, config)
+                    payload = rewrite_shard(
+                        shard, shard_fanins(aig, shard), config
+                    )
                     merged.append(
                         (index, payload, payload["counters"]["work_units"])
                     )

@@ -8,16 +8,18 @@ fanin *cuts* (cuts whose own leaves have died) are filtered out at
 merge time, which keeps the inductive validity invariant of
 :mod:`repro.cuts.cut` intact.
 
-The merge hot path is **columnar-first**, mirroring the batch eval
-engine in :mod:`repro.rewrite.columnar`: fanin cut sets are laid out
+There is one merge per call site.  The enumeration stage merges a
+whole worklist of harvested roots per kernel invocation
+(:meth:`CutManager.merge_tasks_columnar`, mirroring the batch eval
+engine in :mod:`repro.rewrite.columnar`): fanin cut sets are laid out
 as sentinel-padded leaf/sign column arrays, all |C0|x|C1| unions and
 k-feasibility masks are computed in one numpy kernel
 (:func:`~repro.npn.truth.batch_union_leaves`), and the dominance
-filter runs over precomputed 64-bit signatures.  The scalar merge is
-kept as the byte-identical differential oracle (``columnar=False``,
-config ``columnar_enum``/``rewrite --scalar-enum``), and
-:meth:`CutManager.merge_tasks_columnar` merges a whole worklist of
-harvested roots per kernel invocation.
+filter runs over precomputed 64-bit signatures.  The per-node merge
+behind :meth:`CutManager.cuts` — the recursion, the replace stage's
+re-merges, validation and the baseline engines — is the memoized
+scalar loop: one node's pair set is too small to pay for array setup.
+Both produce identical cut sets and work charges (property-tested).
 
 The manager also counts merge work (``work`` attribute): the simulated
 parallel executor charges activities by this measure, which is what
@@ -54,11 +56,6 @@ _FULL_MASKS = tuple(full_mask(n) for n in range(5))
 # expansion to the numpy batch kernel (array setup has fixed overhead).
 BATCH_MERGE_THRESHOLD = 24
 
-# Pair count below which a single-node columnar merge is not worth the
-# array setup and takes the scalar body instead (byte-identical either
-# way; this is purely a constant-factor dispatch).
-COLUMNAR_MIN_PAIRS = 16
-
 # Default bound on the truth-table expansion memo (entries); FIFO
 # eviction past this keeps a long-lived manager's footprint flat.
 DEFAULT_EXPAND_CACHE_CAP = 1 << 16
@@ -80,7 +77,6 @@ class CutManager:
         aig: Aig,
         k: int = 4,
         max_cuts: Optional[int] = DEFAULT_MAX_CUTS,
-        columnar: bool = True,
         expand_cache_cap: Optional[int] = DEFAULT_EXPAND_CACHE_CAP,
     ):
         if k < 2 or k > 4:
@@ -88,7 +84,6 @@ class CutManager:
         self.aig = aig
         self.k = k
         self.max_cuts = max_cuts
-        self.columnar = columnar
         self.expand_cache_cap = expand_cache_cap
         self.work = 0  # merge operations performed (cost model input)
         # Vars whose cut sets the most recent cuts() call had to compute
@@ -103,18 +98,11 @@ class CutManager:
         self.cache_hits = 0
         self.cache_misses = 0
         self.expand_evictions = 0
-        # Pairs merged through the columnar kernels vs the scalar body
-        # (observer counters enum_vectorized_pairs_total /
+        # Pairs merged by the worklist kernel vs the per-node scalar
+        # merge (observer counters enum_vectorized_pairs_total /
         # enum_scalar_fallback_total).
         self.vec_pairs = 0
         self.fallback_pairs = 0
-        # var -> (cut list identity, leaf rows, signs): the column
-        # layout of a cached cut set, rebuilt lazily when the cache
-        # entry is replaced (identity check) and dropped on
-        # invalidation — this is what lets post-replacement re-merges
-        # (invalidate_tfo + fresh_cuts) reuse fanin columns instead of
-        # rebuilding per-node Python lists.
-        self._cols: Dict[int, Tuple[List[Cut], "np.ndarray", List[int]]] = {}
 
     # ------------------------------------------------------------------
 
@@ -168,9 +156,9 @@ class CutManager:
         """The eval stage's task list: each root paired with its
         (stamp-validated) enumerated cut set, in worklist order.
 
-        This is the hand-off format shared by every batch evaluation
-        path — process fan-out chunks and the in-process columnar
-        engine alike — so the cut sets workers score are exactly the
+        This is the input of the batch evaluation engine
+        (:func:`~repro.rewrite.columnar.eval_tasks_columnar`) and of
+        its scalar oracle, so the cut sets they score are exactly the
         ones the enumeration stage installed.
         """
         return [(root, tuple(self.fresh_cuts(root))) for root in roots]
@@ -178,7 +166,6 @@ class CutManager:
     def invalidate(self, var: int) -> None:
         """Drop the cache entry for one node."""
         self._cache.pop(var, None)
-        self._cols.pop(var, None)
 
     def invalidate_tfo(self, var: int) -> int:
         """Recursively drop cache entries of ``var`` and its transitive
@@ -193,7 +180,6 @@ class CutManager:
             if v in seen:
                 continue
             seen.add(v)
-            self._cols.pop(v, None)
             if self._cache.pop(v, None) is not None:
                 dropped += 1
             if not self.aig.is_dead(v):
@@ -205,7 +191,6 @@ class CutManager:
         counter deltas across :meth:`clear` boundaries are meaningful."""
         self._cache.clear()
         self._expand_cache.clear()
-        self._cols.clear()
         self.cache_hits = 0
         self.cache_misses = 0
         self.expand_evictions = 0
@@ -221,9 +206,9 @@ class CutManager:
         if entry is None or entry[0] != aig.stamp(var):
             return False
         # Inlined cut_is_stamp_alive over the whole entry, reading the
-        # kind/life columns directly (both Aig and AigSnapshot expose
-        # them): this check runs for every worklist root and both its
-        # fanins, so per-leaf accessor calls are worth shaving.
+        # graph's kind/life columns directly: this check runs for every
+        # worklist root and both its fanins, so per-leaf accessor calls
+        # are worth shaving.
         kind = aig._kind
         life = aig._life
         for c in entry[1]:
@@ -236,22 +221,22 @@ class CutManager:
     def enum_harvest(
         self, root: int
     ) -> Optional[Tuple[int, int, List[Cut], List[Cut]]]:
-        """Inputs for a worker-side merge of ``root``, or None.
+        """Inputs for the worklist-kernel merge of ``root``, or None.
 
-        A root can fan out to a process worker only when its merge is a
-        *pure function of shippable state*: it is an AND node whose own
+        A root joins the batched merge only when its merge is a *pure
+        function of harvest-time state*: it is an AND node whose own
         entry needs (re)computing and whose fanin cut sets are
         resolvable without recursion **and stable for the whole
         stage** — a stamp-fresh entry with every cut alive (such
         entries are never recomputed mid-stage, by either ``cuts()``
-        recursion or a worker-result install), or a non-AND fanin
+        recursion or a batched-result install), or a non-AND fanin
         (whose cut set is always the trivial cut).  A merely
         stamp-fresh fanin entry with dead cuts is *not* eligible: that
         fanin may itself be a worklist root whose own enumeration
         re-merges it before this root executes, so its harvest-time cut
         set could go stale.  Roots with a fresh live entry answer from
-        cache in-parent for one unit, and roots needing recursive
-        enumeration stay in-parent too; both return None.
+        cache for one unit, and roots needing recursive enumeration
+        take the per-node merge; both return None.
         """
         aig = self.aig
         if not aig.is_and(root):
@@ -278,14 +263,14 @@ class CutManager:
         return (f0, f1, sets[0], sets[1])
 
     def install_cuts(self, root: int, cuts: List[Cut], work: int = 0) -> None:
-        """Install a worker-computed cut set for AND node ``root``.
+        """Install a batch-computed cut set for AND node ``root``.
 
         Mirrors exactly what :meth:`cuts` would have cached for an
         :meth:`enum_harvest`-eligible root: trivial entries for any
         uncached non-AND fanins, then the root entry keyed to its
-        current stamp.  ``work`` (the worker's merge-pair count) is
+        current stamp.  ``work`` (the batched merge-pair count) is
         charged to :attr:`work` so the cost model stays byte-identical
-        with an in-parent merge.
+        with a per-node merge.
         """
         aig = self.aig
         for fl in (aig.fanin0(root), aig.fanin1(root)):
@@ -298,7 +283,7 @@ class CutManager:
         self.work += work
 
     # ------------------------------------------------------------------
-    # Columnar layout helpers
+    # Merging
 
     def _leaf_rows(self, cuts: List[Cut]) -> "np.ndarray":
         """Sentinel-padded ``(n, 4)`` int64 leaf rows for ``cuts``."""
@@ -309,115 +294,16 @@ class CutManager:
             dtype=np.int64,
         )
 
-    def _life_column(self):
-        """The life-stamp column of the underlying graph: the live
-        ``Aig`` list, or the snapshot's cached plain-list column —
-        either way ``col[v] == aig.life_stamp(v)`` as a Python int."""
-        columns = getattr(self.aig, "columns", None)
-        if columns is not None:
-            return columns()[6]
-        return self.aig._life
-
-    def _fanin_columns(
-        self, var: int
-    ) -> Tuple[List[Cut], "np.ndarray", List[int]]:
-        """Column layout (cut list, leaf rows, signs) of ``var``'s
-        cached cut set, rebuilt only when the cache entry changed
-        (list identity: cached cut lists are replaced, never mutated)."""
-        entry = self._cache.get(var)
-        if entry is None:
-            raise CutError(
-                f"no cached cut set for node {var}: enumerate it first "
-                f"(cuts()/install_cuts())"
-            )
-        cuts = entry[1]
-        col = self._cols.get(var)
-        if col is None or col[0] is not cuts:
-            arr = self._leaf_rows(cuts)
-            col = (cuts, arr, batch_cut_signs(arr))
-            self._cols[var] = col
-        return col
-
-    def _live_columns(
-        self, var: int
-    ) -> Tuple[List[Cut], "np.ndarray", List[int]]:
-        """Like :meth:`_live_cuts`, but returning the column layout,
-        with dead rows dropped from the cached columns."""
-        cuts, arr, signs = self._fanin_columns(var)
-        aig = self.aig
-        alive = [i for i, c in enumerate(cuts) if cut_is_stamp_alive(aig, c)]
-        if len(alive) == len(cuts):
-            return cuts, arr, signs
-        if not alive:
-            t = trivial_cut(aig, var)
-            tarr = self._leaf_rows([t])
-            return [t], tarr, batch_cut_signs(tarr)
-        return [cuts[i] for i in alive], arr[alive], signs[alive]
-
-    # ------------------------------------------------------------------
-    # Merging
-
     def _merge_node(self, v: int) -> List[Cut]:
+        """The per-node merge: the scalar body over the live fanin
+        cut sets, charging its pair count to :attr:`work`."""
         aig = self.aig
         f0, f1 = aig.fanin0(v), aig.fanin1(v)
-        if not self.columnar:
-            return self.merge_fanin_sets(
-                v, f0, f1,
-                self._live_cuts(lit_var(f0)),
-                self._live_cuts(lit_var(f1)),
-            )
-        c0_all, a0, s0 = self._live_columns(lit_var(f0))
-        c1_all, a1, s1 = self._live_columns(lit_var(f1))
+        c0_all = self._live_cuts(lit_var(f0))
+        c1_all = self._live_cuts(lit_var(f1))
         n_pairs = len(c0_all) * len(c1_all)
         self.work += n_pairs
-        if n_pairs < COLUMNAR_MIN_PAIRS:
-            self.fallback_pairs += n_pairs
-            return self._merge_scalar(v, f0, f1, c0_all, c1_all)
-        self.vec_pairs += n_pairs
-        meta = [(v, lit_compl(f0), lit_compl(f1),
-                 0, len(c0_all), len(c0_all), len(c1_all))]
-        out, _, _ = self._columnar_core(
-            list(c0_all) + list(c1_all), np.concatenate([a0, a1]),
-            np.concatenate([s0, s1]), meta,
-        )
-        return out[0]
-
-    def merge_fanin_sets(
-        self,
-        v: int,
-        f0: int,
-        f1: int,
-        c0_all: List[Cut],
-        c1_all: List[Cut],
-    ) -> List[Cut]:
-        """Merge explicit fanin cut sets of AND node ``v``.
-
-        Dispatches to the columnar kernel path for large pair sets and
-        to the scalar body for small ones (or always, with
-        ``columnar=False`` — the differential oracle).  All paths
-        produce bit-identical results and charge identical
-        :attr:`work`, so the choice never affects replay
-        (property-tested).
-
-        Taking the fanin sets as arguments (rather than reading the
-        cache) is what lets a process worker run the identical merge
-        against an :class:`~repro.aig.snapshot.AigSnapshot` with cut
-        sets harvested in the parent (:meth:`enum_harvest`).
-        """
-        n_pairs = len(c0_all) * len(c1_all)
-        self.work += n_pairs
-        if self.columnar and n_pairs >= COLUMNAR_MIN_PAIRS:
-            self.vec_pairs += n_pairs
-            all_cuts = list(c0_all) + list(c1_all)
-            leaves = self._leaf_rows(all_cuts)
-            meta = [(v, lit_compl(f0), lit_compl(f1),
-                     0, len(c0_all), len(c0_all), len(c1_all))]
-            out, _, _ = self._columnar_core(
-                all_cuts, leaves, batch_cut_signs(leaves), meta
-            )
-            return out[0]
-        if self.columnar:
-            self.fallback_pairs += n_pairs
+        self.fallback_pairs += n_pairs
         return self._merge_scalar(v, f0, f1, c0_all, c1_all)
 
     def merge_tasks_columnar(
@@ -431,8 +317,8 @@ class CutManager:
         cuts, pairs)`` rows in task order, where ``pairs`` is the merge
         work the caller must charge via
         :meth:`install_cuts(..., work=pairs)` — this method itself does
-        **not** touch :attr:`work`, exactly like a pool worker's merge,
-        so replay through the schedulers charges each root's cost once.
+        **not** touch :attr:`work`, so replay through the schedulers
+        charges each root's cost once.
 
         When ``observer`` is metric-enabled, emits the
         ``enum_batch_size`` histogram and per-phase
@@ -469,7 +355,7 @@ class CutManager:
         signs: List[int],
         meta,
     ) -> Tuple[List[List[Cut]], float, float]:
-        """The batch merge kernel shared by every columnar entry point.
+        """The batch merge kernel behind :meth:`merge_tasks_columnar`.
 
         ``meta`` rows are ``(root, comp0, comp1, off0, n0, off1, n1)``
         describing each task's fanin-cut slices of ``all_cuts`` /
@@ -487,7 +373,7 @@ class CutManager:
         one numpy pass (bit-identical to :func:`~repro.npn.truth.
         expand` by construction), which is cheaper than per-pair dict
         probes.  The memo — and its hit/miss counters — keeps serving
-        the scalar paths.
+        the per-node scalar merge.
         """
         t0 = time.perf_counter()
         n0s = np.array([m[4] for m in meta], dtype=np.int64)
@@ -544,7 +430,7 @@ class CutManager:
         usz = sz.tolist()
         # Leaf stamps gathered in one vectorized pass (sentinel lanes
         # clamped to index 0; they are sliced away below).
-        life_arr = np.asarray(self._life_column(), dtype=np.int64)
+        life_arr = np.asarray(self.aig._life, dtype=np.int64)
         srows = life_arr[np.where(u8 < CUT_LEAF_SENTINEL, u8, 0)].tolist()
         per_task = np.bincount(task_f, minlength=len(meta)).tolist()
         union_seconds = time.perf_counter() - t0
@@ -771,20 +657,3 @@ class CutManager:
             keep.append(existing)
         keep.append(cut)
         results[:] = keep
-
-
-def enum_tasks_columnar(aig_like, tasks, config, observer=None):
-    """Worklist-grained columnar merge against arbitrary graph state.
-
-    The enumeration twin of
-    :func:`~repro.rewrite.columnar.eval_tasks_columnar`: builds a
-    fresh :class:`CutManager` over ``aig_like`` (a live
-    :class:`~repro.aig.Aig` or an
-    :class:`~repro.aig.snapshot.AigSnapshot`) and merges every
-    harvested task in one kernel invocation.  Returns ``(root, cuts,
-    pairs)`` rows in task order.
-    """
-    cutman = CutManager(
-        aig_like, k=config.cut_size, max_cuts=config.max_cuts, columnar=True
-    )
-    return cutman.merge_tasks_columnar(tasks, observer=observer)

@@ -14,9 +14,10 @@ read stages it would spread.  So ``executor_kind="process"`` means
   path for callers that drive stages directly);
 * :meth:`ProcessExecutor.run_shards` ships every shard of a sharded
   pass (:mod:`repro.core.shards`) to a persistent worker pool as one
-  chunk.  Each chunk carries one self-contained payload: the graph's
-  :class:`~repro.aig.snapshot.AigSnapshot`, pickled once per fan-out,
-  plus the shard's var lists.  Workers keep no state between chunks,
+  chunk.  Each chunk carries one self-contained payload, pickled in
+  the parent: the shard's var lists plus the fanin pairs of the nodes
+  it owns (:func:`~repro.core.shards.shard_fanins`) — a worker never
+  sees the rest of the graph.  Workers keep no state between chunks,
   so there is no worker cache to miss, no shared memory and no
   multiprocessing resource tracker.
 
@@ -42,10 +43,10 @@ recovery path reproduces the exact payload a healthy worker would
 have returned and sharded results stay byte-identical across
 executors under any combination of faults.
 
-Observability is dual-clock.  When a tracing observer is attached
-(and ``config.wall_telemetry`` is on), every chunk carries a
-:class:`~repro.obs.wall.ChunkTelemetry` record back from its worker —
-wall-clock spans for snapshot unpickling (``patch``) and compute,
+Observability is dual-clock.  When a tracing observer is attached,
+every chunk carries a :class:`~repro.obs.wall.ChunkTelemetry` record
+back from its worker — wall-clock spans for payload unpickling
+(``patch``) and compute,
 merged parent-side with the submit/receive timestamps into per-pid
 tracks on the observer's :class:`~repro.obs.collect.WallTimeline`,
 along with ``chunk_wall_seconds{stage,phase}`` histograms, pool
@@ -60,12 +61,14 @@ holds entries ``mode@stage:chunk[:fires]`` separated by ``,`` or
 ``;``, where ``mode`` is one of ``kill`` (SIGKILL the worker),
 ``hang`` (sleep past any deadline), ``raise`` (raise
 :class:`InjectedFault`) or ``corrupt`` (return a mangled result list),
-``stage``/``chunk`` select the fan-out coordinates (``*`` matches
-any; shard chunks are stage ``shard``, numbered cumulatively across
-seam-rotation passes), and ``fires`` bounds how many submissions
-trigger it (default 1).  The directive is armed by the parent per
-submission and executed worker-side, so retries of an already-fired
-coordinate run clean.
+``stage``/``chunk`` select the fan-out coordinates (``stage`` is
+``shard`` or ``*`` — shard chunks are the only fan-out — and
+``chunk`` is ``*`` or a chunk number, counted cumulatively across
+seam-rotation passes), and ``fires`` (>= 1, default 1) bounds how
+many submissions trigger it.  Any other coordinate is rejected at
+parse time, so a plan can never name a chunk that will not exist.
+The directive is armed by the parent per submission and executed
+worker-side, so retries of an already-fired coordinate run clean.
 """
 
 from __future__ import annotations
@@ -86,7 +89,6 @@ except ImportError:  # pragma: no cover
     class _BrokenPool(RuntimeError):
         pass
 
-from ..aig.snapshot import AigSnapshot
 from ..obs.observer import Observer
 from ..obs.wall import ChunkTelemetry
 from .simsched import SimulatedExecutor
@@ -139,6 +141,9 @@ class FaultPlan:
     """
 
     MODES = ("kill", "hang", "raise", "corrupt")
+    #: Fan-out stages a fault can target: shard chunks are the only
+    #: work that leaves the parent process.
+    STAGES = ("shard", "*")
 
     def __init__(self, entries: List[Dict[str, object]]):
         self.entries = entries
@@ -162,17 +167,31 @@ class FaultPlan:
                     f"bad fault-plan entry {raw!r}: expected "
                     f"mode@stage:chunk[:fires]"
                 )
-            mode = mode.strip()
+            mode, stage, chunk = mode.strip(), stage.strip(), chunk.strip()
             if mode not in cls.MODES:
                 raise ValueError(
                     f"bad fault-plan mode {mode!r}: expected one of "
                     f"{'/'.join(cls.MODES)}"
                 )
+            if stage not in cls.STAGES:
+                raise ValueError(
+                    f"bad fault-plan stage {stage!r} in {raw!r}: expected "
+                    f"one of {'/'.join(cls.STAGES)}"
+                )
+            if chunk != "*":
+                if not (chunk.isascii() and chunk.isdigit()):
+                    raise ValueError(
+                        f"bad fault-plan chunk {chunk!r} in {raw!r}: "
+                        f"expected '*' or a non-negative integer"
+                    )
+                chunk = str(int(chunk))  # "07" arms chunk 7
+            if fires < 1:
+                raise ValueError(
+                    f"bad fault-plan fire count {fires} in {raw!r}: "
+                    f"expected >= 1"
+                )
             entries.append({
-                "mode": mode,
-                "stage": stage.strip(),
-                "chunk": chunk.strip(),
-                "fires": fires,
+                "mode": mode, "stage": stage, "chunk": chunk, "fires": fires,
             })
         return cls(entries) if entries else None
 
@@ -273,11 +292,12 @@ class _MetricCollector(Observer):
 # ---------------------------------------------------------------------------
 
 
-def _shard_tasks(aig_like, tasks, config, collector) -> List[Tuple[int, object, int]]:
-    """Run the full rewrite pipeline on each ``(index, shard)`` task.
+def _shard_tasks(tasks, config, collector) -> List[Tuple[int, object, int]]:
+    """Run the full rewrite pipeline on each captured ``(index, shard,
+    fanins)`` task.
 
-    Runs identically against the live graph (in-parent fallback) or a
-    snapshot (worker side): the per-shard rewrite is deterministic, so
+    Runs identically worker-side and in-parent (fallback): the
+    per-shard rewrite reads only the task and is deterministic, so
     every recovery path reproduces the exact payload a healthy worker
     would have returned.  Returns ``(index, payload, work-units)``
     triples.
@@ -285,19 +305,19 @@ def _shard_tasks(aig_like, tasks, config, collector) -> List[Tuple[int, object, 
     from ..core.shards import rewrite_shard
 
     out: List[Tuple[int, object, int]] = []
-    for index, shard in tasks:
-        payload = rewrite_shard(aig_like, shard, config)
+    for index, shard, fanins in tasks:
+        payload = rewrite_shard(shard, fanins, config)
         collector.count("shard_runs_total")
         out.append((index, payload, payload["counters"]["work_units"]))
     return out
 
 
-def _shard_chunk(blob: bytes, tasks, config, fault: Optional[str] = None,
+def _shard_chunk(blob: bytes, config, fault: Optional[str] = None,
                  telemetry: Optional[tuple] = None):
-    """Worker entry point: unpickle the fan-out's snapshot and run the
-    whole pipeline on each shard of the chunk.
+    """Worker entry point: unpickle the chunk's captured shard tasks
+    and run the whole pipeline on each.
 
-    ``telemetry`` is ``(stage, chunk, attempt)`` — the fan-out
+    ``telemetry`` is ``(stage, chunk, attempt, tasks)`` — the fan-out
     coordinates only the parent knows — or None when the observer is
     the no-op (no record is then ever allocated).
     """
@@ -305,14 +325,14 @@ def _shard_chunk(blob: bytes, tasks, config, fault: Optional[str] = None,
         _execute_fault(fault)
     tele = None
     if telemetry is not None:
-        stage, chunk, attempt = telemetry
-        tele = ChunkTelemetry.begin(stage, chunk, attempt, tasks=len(tasks))
+        stage, chunk, attempt, ntasks = telemetry
+        tele = ChunkTelemetry.begin(stage, chunk, attempt, tasks=ntasks)
         tele.enter("patch")
     collector = _MetricCollector()
-    snapshot = pickle.loads(blob)
+    tasks = pickle.loads(blob)
     if tele is not None:
         tele.enter("compute")
-    out = _shard_tasks(snapshot, tasks, config, collector)
+    out = _shard_tasks(tasks, config, collector)
     if fault == "corrupt":
         out = _corrupt_results(out)
     if tele is not None:
@@ -335,13 +355,15 @@ def _warm_shared_state(config) -> None:
 
 class _ChunkJob:
     """One chunk of a fan-out, carrying its retry count.  ``index`` is
-    the chunk's fault-plan and quarantine-list coordinate."""
+    the chunk's fault-plan and quarantine-list coordinate; ``blob`` is
+    ``tasks`` pickled once, resubmitted as is on every retry."""
 
-    __slots__ = ("index", "tasks", "attempts")
+    __slots__ = ("index", "tasks", "blob", "attempts")
 
-    def __init__(self, index: int, tasks: List[tuple]):
+    def __init__(self, index: int, tasks: List[tuple], blob: bytes):
         self.index = index
         self.tasks = tasks
+        self.blob = blob
         self.attempts = 0
 
 
@@ -525,16 +547,12 @@ class ProcessExecutor(SimulatedExecutor):
         return self._fault_plan
 
     def _wall_for(self, config):
-        """The observer's wall timeline, or None when telemetry is off
-        (no-op observer, or ``config.wall_telemetry`` disabled)."""
+        """The observer's wall timeline, or None under the no-op
+        observer (worker telemetry is on exactly when a tracing
+        observer is attached)."""
         if not self.obs.enabled:
             return None
-        if not getattr(config, "wall_telemetry", True):
-            return None
-        wall = getattr(self.obs, "wall", None)
-        if wall is not None:
-            wall.set_flight_size(getattr(config, "flight_recorder_size", 64))
-        return wall
+        return getattr(self.obs, "wall", None)
 
     def _wall_instant(self, wall, name: str, **args) -> None:
         if wall is not None:
@@ -596,13 +614,12 @@ class ProcessExecutor(SimulatedExecutor):
         merged.extend(self._degrade_chunk(job, fallback, collector))
 
     def _collect_chunks(
-        self, pool, entry, payload, parts, config, collector, stage, fallback,
-        index_base=0,
+        self, pool, entry, jobs, config, collector, stage, fallback,
     ):
         """Submit all chunks and fan results back in, fault-tolerantly.
 
-        Every submission of ``entry`` carries the same self-contained
-        ``payload``.  Failure handling is chunk-grained: a chunk that
+        Every submission of ``entry`` carries its job's self-contained
+        ``blob``.  Failure handling is chunk-grained: a chunk that
         raises or returns a corrupted result retries with capped
         exponential backoff and is quarantined (and computed in-parent
         via ``fallback``) as a last resort; a chunk that outlives
@@ -613,10 +630,7 @@ class ProcessExecutor(SimulatedExecutor):
         the exact values a healthy worker would have returned.
         """
         merged: List[tuple] = []
-        queue = deque(
-            _ChunkJob(index, part)
-            for index, part in enumerate(parts, start=index_base)
-        )
+        queue = deque(jobs)
         plan = self._get_fault_plan(config)
         timeout = getattr(config, "chunk_timeout_seconds", None)
         max_retries = getattr(config, "chunk_max_retries", 2)
@@ -636,12 +650,12 @@ class ProcessExecutor(SimulatedExecutor):
                 job = queue.popleft()
                 fault = plan.arm(stage, job.index) if plan is not None else None
                 tele_args = (
-                    (stage, job.index, job.attempts) if wall is not None
-                    else None
+                    (stage, job.index, job.attempts, len(job.tasks))
+                    if wall is not None else None
                 )
                 try:
                     future = pool.submit(
-                        entry, payload, job.tasks, config, fault, tele_args,
+                        entry, job.blob, config, fault, tele_args,
                     )
                 except Exception:
                     # The pool died between rounds (broken or shut
@@ -712,48 +726,53 @@ class ProcessExecutor(SimulatedExecutor):
     def run_shards(self, aig, tasks, config, pass_index=0) -> List[tuple]:
         """Fan whole-shard rewrites out to pool workers.
 
-        ``tasks`` are ``(index, Shard)`` pairs.  The graph is captured
-        and pickled once per fan-out; every chunk carries that blob
-        plus one shard's var lists.  One shard per chunk: a shard is
-        the unit of retry, quarantine and fault injection (stage name
-        ``"shard"`` in the fault plan — chunk coordinates are
-        cumulative across seam-rotation passes, so ``mode@shard:N``
-        can target any pass's chunks), and the in-parent fallback
-        recomputes it against the live graph with identical results.
+        ``tasks`` are ``(index, Shard)`` pairs.  Each shard's owned-node
+        fanin pairs are captured from the live graph and pickled with
+        the shard into its own chunk; ``snapshot_bytes_total`` counts
+        those blobs.  One shard per chunk: a shard is the unit of
+        retry, quarantine and fault injection (stage name ``"shard"``
+        in the fault plan — chunk coordinates are cumulative across
+        seam-rotation passes, so ``mode@shard:N`` can target any
+        pass's chunks), and the in-parent fallback recomputes it from
+        the same captured task with identical results.
         ``pass_index`` labels the fan-out span for multi-pass
         telemetry.  Returns the ``(index, payload, units)`` triples,
         unordered.
         """
         start_time = time.time()
         start_wall = time.perf_counter()
+        from ..core.shards import shard_fanins
+
         collector = _MetricCollector()
+        captured = [
+            (index, shard, shard_fanins(aig, shard)) for index, shard in tasks
+        ]
         pool = self._ensure_pool()
         chunks = 0
         if pool is None:
-            merged = _shard_tasks(aig, tasks, config, collector)
+            merged = _shard_tasks(captured, config, collector)
         else:
             _warm_shared_state(config)
-            blob = pickle.dumps(
-                AigSnapshot.capture(aig), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            parts = [[task] for task in tasks]
-            chunks = len(parts)
-            index_base = self.shard_chunks_seen
+            jobs = []
+            for offset, task in enumerate(captured):
+                part = [task]
+                jobs.append(_ChunkJob(
+                    self.shard_chunks_seen + offset, part,
+                    pickle.dumps(part, protocol=pickle.HIGHEST_PROTOCOL),
+                ))
+            chunks = len(jobs)
             self.shard_chunks_seen += chunks
-            nbytes = len(blob) * chunks  # the blob rides every chunk
+            nbytes = sum(len(job.blob) for job in jobs)
             self.snapshot_bytes_total += nbytes
             if self.obs.enabled:
                 self.obs.count("snapshot_bytes_shipped_total", nbytes,
                                stage="shard")
-                self.obs.observe("snapshot_bytes", len(blob))
+                for job in jobs:
+                    self.obs.observe("snapshot_bytes", len(job.blob))
             try:
                 merged = self._collect_chunks(
-                    pool, _shard_chunk, blob, parts, config, collector,
-                    "shard",
-                    lambda chunk, coll: _shard_tasks(
-                        aig, chunk, config, coll
-                    ),
-                    index_base=index_base,
+                    pool, _shard_chunk, jobs, config, collector, "shard",
+                    lambda chunk, coll: _shard_tasks(chunk, config, coll),
                 )
             except (OSError, MemoryError) as exc:
                 # Last-resort whole-fan-out degradation (fork limit,
@@ -762,7 +781,7 @@ class ProcessExecutor(SimulatedExecutor):
                 self._warn_fallback(f"shard fan-out failed ({exc})")
                 self._pool_broken = True
                 self.close()
-                merged = _shard_tasks(aig, tasks, config, collector)
+                merged = _shard_tasks(captured, config, collector)
         obs = self.obs
         if obs.enabled:
             collector.replay_into(obs)

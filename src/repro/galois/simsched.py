@@ -104,8 +104,7 @@ class SimulatedExecutor:
         phase costs the scalar eval operator would have produced — the
         eval stage is lock-free and activities commit in worklist
         order, so stats, spans and stored candidates are byte-identical
-        to the operator path (which ``columnar_eval = False`` falls
-        back to).
+        to the operator path (the tests' differential oracle).
         """
         from ..rewrite.columnar import run_eval_batched
 
@@ -117,8 +116,7 @@ class SimulatedExecutor:
         one batch (:meth:`~repro.cuts.CutManager.merge_tasks_columnar`)
         and installed through a replay operator charging the identical
         pair costs, so stats and the cut cache are byte-identical to
-        the operator path (which ``columnar_enum = False`` falls back
-        to)."""
+        the operator path (the tests' differential oracle)."""
         from ..rewrite.columnar import run_enum_batched
 
         return run_enum_batched(self, name, items, ctx)

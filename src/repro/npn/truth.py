@@ -127,7 +127,7 @@ def batch_expand(tts, mappings):
     :func:`expand_map16`).  Returns the N expanded 16-bit tables; for a
     destination width ``nd < 4`` the caller masks with
     ``full_mask(nd)``.  This is the batch kernel under the cut
-    manager's merge loop and the snapshot evaluation path.
+    manager's scalar merge loop (large pair sets).
     """
     import numpy as np
 

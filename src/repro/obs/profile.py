@@ -128,7 +128,7 @@ def wall_breakdown(wall: WallTimeline) -> Tuple[List[str], List[List[str]]]:
 
     One row per pool-worker pid: chunks it processed, seconds spent in
     each pipeline phase (receive = queue + request IPC, patch =
-    snapshot unpickle, compute = shard rewrite, serialize = result
+    payload unpickle, compute = shard rewrite, serialize = result
     pickle + response IPC) and the busy share of the pool window.
     """
     headers = ["WorkerPid", "Chunks", "ReceiveS", "PatchS", "ComputeS",

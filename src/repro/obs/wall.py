@@ -6,7 +6,7 @@ crosses the pipe into a pool worker, the parent only learns the
 aggregate stage wall time.  This module is the worker half of the
 cross-process wall-clock layer: a :class:`ChunkTelemetry` record is
 opened when a chunk lands in a worker, phase boundaries are marked as
-the chunk moves through its pipeline (snapshot unpickle → shard
+the chunk moves through its pipeline (payload unpickle → shard
 rewrite), and the finished record rides back to the parent
 piggybacked on the existing chunk result tuple, where
 :class:`repro.obs.collect.WallTimeline` merges it with the parent's
@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 #: ``serialize`` are derived parent-side (submit→worker-start and
 #: worker-end→parent-receive respectively: queueing, IPC and pickle
 #: time live there); ``patch`` and ``compute`` are measured
-#: worker-side around unpickling the chunk's snapshot and the actual
+#: worker-side around unpickling the chunk's payload and the actual
 #: shard rewrite.
 CHUNK_PHASES: Tuple[str, ...] = ("receive", "patch", "compute", "serialize")
 
@@ -48,7 +48,7 @@ class ChunkTelemetry:
     Worker-side lifecycle::
 
         tele = ChunkTelemetry.begin("shard", chunk=3, attempt=0, tasks=1)
-        tele.enter("patch")    # unpickle the chunk's snapshot
+        tele.enter("patch")    # unpickle the chunk's payload
         tele.enter("compute")  # rewrite the shard
         tele.done(results=1)
 

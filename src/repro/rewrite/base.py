@@ -14,6 +14,12 @@ Three responsibilities:
 * **Candidate selection** — enumerate cuts, canonicalize, look up
   library structures, and keep the best-gain candidate (the inner loop
   of Mishchenko's DAG-aware rewriting).
+
+The per-cut scalar evaluation here serves the baseline engines and
+DACPara's replace-time re-validation.  DACPara's eval stage scores
+whole worklists with the columnar engine (:mod:`repro.rewrite.columnar`);
+the scalar loop (:func:`eval_tasks_scalar`, and the eval operator built
+on :func:`find_best_candidate`) is its reference oracle in tests.
 """
 
 from __future__ import annotations
@@ -241,10 +247,8 @@ def find_best_candidate(
 ) -> Optional[Candidate]:
     """The DAG-aware rewriting inner loop for a single node.
 
-    The ``fresh_cuts`` call rides the cut manager's configured merge
-    engine — the columnar union/dominance kernels by default, the
-    scalar oracle with ``columnar=False`` — with byte-identical
-    results either way.
+    The ``fresh_cuts`` call takes the cut manager's per-node scalar
+    merge when the node's cut set is not cached yet.
     """
     return best_candidate_over_cuts(
         aig, root, cutman.fresh_cuts(root), library, config, meter, observer
@@ -263,9 +267,7 @@ def best_candidate_over_cuts(
     """Best replacement for ``root`` over an explicit cut list.
 
     The cut list is whatever the enumeration stage produced; ``aig``
-    only needs the read-only surface (fanins, refs, levels, strash
-    probes), so this also runs against an :class:`~repro.aig.snapshot.
-    AigSnapshot`.
+    is only read (fanins, refs, levels, strash probes), never mutated.
     """
     allowed = config.allowed_classes
     observing = observer is not None and observer.enabled

@@ -3,11 +3,11 @@
 The scalar path (:func:`repro.rewrite.base.best_candidate_over_cuts`)
 dispatches several Python method calls per graph access and
 recomputes the root cone's local deref once per *structure*.  This
-module inverts the data layout: the per-node arrays of an
-:class:`~repro.aig.snapshot.AigSnapshot` (or the identical internal
-columns of a live :class:`~repro.aig.graph.Aig`) become the primary
-store, and a whole chunk of ``(root, cuts)`` tasks is scored in three
-phases:
+module inverts the data layout: the live :class:`~repro.aig.graph.Aig`'s
+own per-node columns (plain lists — scalar indexing into them is
+several times faster than into numpy arrays) become the primary
+store, and a whole worklist of ``(root, cuts)`` tasks is scored in
+three phases:
 
 1. **Kernel phase** (numpy, one call per batch): every cut function is
    lifted into the 4-variable space (:func:`~repro.npn.truth.
@@ -28,10 +28,11 @@ phases:
    and stage stats stay byte-identical to the scalar operator path on
    every executor.
 
-The scalar path is retained untouched as the differential oracle
-(``RewriteConfig.columnar_eval = False`` routes everything back
-through it); ``tests/test_differential_fuzz.py`` pins the two
-byte-identical across all four executors.
+This is the only production eval path.  The scalar operator
+(:func:`~repro.core.operators.make_eval_operator`) and
+:func:`~repro.rewrite.base.eval_tasks_scalar` are its reference
+oracles: ``tests/test_differential_fuzz.py`` swaps them into the
+stage and pins full runs byte-identical across all four executors.
 """
 
 from __future__ import annotations
@@ -42,60 +43,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..aig.graph import KIND_AND, KIND_DEAD, Aig
-from ..npn.canon import _TRANSFORMS, npn_canon, npn_canon_batch_rows
+from ..npn.canon import _TRANSFORMS, npn_canon_batch_rows
 from ..npn.truth import batch_lift_tt4
-from .base import Candidate, cut_tt4
-
-# ---------------------------------------------------------------------------
-# Columnar views
-# ---------------------------------------------------------------------------
-
-
-class ColumnarView:
-    """Plain-list columns plus the strash dict of one graph generation.
-
-    Scalar indexing into Python lists is several times faster than
-    numpy scalar indexing (no per-access dtype boxing), which is what
-    the scoring phase lives on; the numpy arrays are used only by the
-    kernel phase.  Views are read-only by convention — the eval stage
-    never mutates the graph.
-    """
-
-    __slots__ = ("kind", "fanin0", "fanin1", "nref", "level", "stamp",
-                 "life", "strash", "size")
-
-    def __init__(self, kind, fanin0, fanin1, nref, level, stamp, life,
-                 strash):
-        self.kind = kind
-        self.fanin0 = fanin0
-        self.fanin1 = fanin1
-        self.nref = nref
-        self.level = level
-        self.stamp = stamp
-        self.life = life
-        self.strash = strash
-        self.size = len(kind)
-
-
-def columnar_view(aig_like) -> ColumnarView:
-    """The columnar view of a live :class:`Aig` or an ``AigSnapshot``.
-
-    A live graph already stores its columns as plain lists, so the view
-    just references them (valid until the next mutation — fine for the
-    read-only eval stage).  A snapshot converts its numpy arrays via
-    :meth:`~repro.aig.snapshot.AigSnapshot.columns` (cached on the
-    snapshot, one ``tolist`` per array per generation).
-    """
-    if isinstance(aig_like, Aig):
-        return ColumnarView(
-            aig_like._kind, aig_like._fanin0, aig_like._fanin1,
-            aig_like._nref, aig_like._level, aig_like._stamp,
-            aig_like._life, aig_like._strash,
-        )
-    kind, fanin0, fanin1, nref, level, stamp, life = aig_like.columns()
-    return ColumnarView(kind, fanin0, fanin1, nref, level, stamp, life,
-                        aig_like._ensure_strash())
-
+from .base import Candidate
 
 # ---------------------------------------------------------------------------
 # Per-process decode caches
@@ -154,7 +104,7 @@ def _decode_structure(structure) -> tuple:
 
 
 def eval_tasks_columnar(
-    aig_like,
+    aig: Aig,
     tasks: Sequence[Tuple[int, Sequence]],
     config,
     library,
@@ -167,21 +117,21 @@ def eval_tasks_columnar(
     ``-1`` dead-root sentinel, candidate-for-candidate and unit-for-
     unit identical to the scalar path — including every observer
     counter and histogram value (counter increments are batched, which
-    the order-insensitive metric aggregation absorbs).  Cuts wider
-    than 4 inputs cannot ride the 16-bit LUT gather and fall back to
-    per-cut scalar canonicalization (``eval_scalar_fallback_total``).
+    the order-insensitive metric aggregation absorbs).  Reads the
+    graph's columns directly and never mutates them; cuts are at most
+    4 wide (:class:`~repro.cuts.CutManager` caps ``k`` at 4), so every
+    cut rides the 16-bit LUT gather.
     """
     observing = observer is not None and observer.enabled
-    view = columnar_view(aig_like)
-    kind = view.kind
-    fanin0 = view.fanin0
-    fanin1 = view.fanin1
-    nref = view.nref
-    level = view.level
-    stamp_col = view.stamp
-    life_col = view.life
-    strash_get = view.strash.get
-    psize = view.size
+    kind = aig._kind
+    fanin0 = aig._fanin0
+    fanin1 = aig._fanin1
+    nref = aig._nref
+    level = aig._level
+    stamp_col = aig._stamp
+    life_col = aig._life
+    strash_get = aig._strash.get
+    psize = len(kind)
     lit_cap = 2 * psize
 
     allowed = config.allowed_classes
@@ -190,7 +140,7 @@ def eval_tasks_columnar(
     zero_gain = config.zero_gain
 
     # ---- kernel phase: lift + canonicalize + class-filter every
-    # vector-eligible cut across the whole batch in three numpy calls.
+    # cut of 2+ inputs across the whole batch in three numpy calls.
     t0 = time.perf_counter()
     flat_tts: list = []
     flat_sizes: list = []
@@ -201,7 +151,7 @@ def eval_tasks_columnar(
             continue
         for cut in cuts:
             n = len(cut.leaves)
-            if 2 <= n <= 4:
+            if n >= 2:
                 tts_append(cut.tt)
                 sizes_append(n)
     n_flat = len(flat_tts)
@@ -225,7 +175,6 @@ def eval_tasks_columnar(
     npn_hits: Dict[int, int] = {}
     npn_misses = 0
     vectorized = 0
-    fallback = 0
     fi = 0  # cursor into the kernel-phase outputs, same iteration order
 
     for root, cuts in tasks:
@@ -245,16 +194,10 @@ def eval_tasks_columnar(
             csize = len(cleaves)
             if csize < 2:
                 continue
-            if csize <= 4:
-                canon = canons[fi]
-                row = rows[fi]
-                ok = oks[fi]
-                fi += 1
-                transform = None
-            else:  # odd shape: per-cut scalar canonicalization
-                canon, transform = npn_canon(cut_tt4(cut))
-                row = -1
-                ok = canon in allowed
+            canon = canons[fi]
+            row = rows[fi]
+            ok = oks[fi]
+            fi += 1
             if not ok:
                 npn_misses += 1
                 continue
@@ -331,13 +274,7 @@ def eval_tasks_columnar(
                         stack.append(fv)
 
             # Leaf literal per canonical structure input, once per cut.
-            if row >= 0:
-                asg, out_neg = _row_leaves(row)
-            else:
-                asg = tuple(
-                    (pos, int(neg)) for pos, neg in transform.leaf_assignment()
-                )
-                out_neg = int(transform.out_neg)
+            asg, out_neg = _row_leaves(row)
             base_vals = [0]
             for pos, neg in asg:
                 base_vals.append(
@@ -346,10 +283,7 @@ def eval_tasks_columnar(
 
             for structure, snodes, out_idx, out_c, charge in entry:
                 units += charge
-                if row >= 0:
-                    vectorized += 1
-                else:
-                    fallback += 1
+                vectorized += 1
                 values = base_vals.copy()
                 vappend = values.append
                 local_ref = base_ref
@@ -437,9 +371,8 @@ def eval_tasks_columnar(
                 key = (gain, -added, -new_level)
                 if best_key is None or key > best_key:
                     best_key = key
-                    best = (cut, canon,
-                            _TRANSFORMS[row] if row >= 0 else transform,
-                            structure, gain, new_level)
+                    best = (cut, canon, _TRANSFORMS[row], structure, gain,
+                            new_level)
 
         if observing:
             observer.observe("cuts_per_node", num_cuts)
@@ -470,8 +403,6 @@ def eval_tasks_columnar(
             observer.count("npn_class_misses_total", npn_misses)
         if vectorized:
             observer.count("eval_vectorized_candidates_total", vectorized)
-        if fallback:
-            observer.count("eval_scalar_fallback_total", fallback)
         observer.observe("eval_batch_size", float(n_flat))
         observer.observe("eval_kernel_seconds", kernel_seconds, phase="canon")
         observer.observe("eval_kernel_seconds", score_seconds, phase="score")
@@ -489,17 +420,12 @@ def run_eval_batched(executor, name: str, items: Sequence[int], ctx):
 
     The replay operator charges the identical meter units and phase
     costs the scalar eval operator would, so the stage stats, spans and
-    timeline are byte-identical; with ``columnar_eval`` off the stage
-    simply runs the scalar operator (the differential oracle).  The
-    returned stage's ``wall_seconds`` covers the harvest and kernel
-    precompute as well as the replay.
+    timeline are byte-identical to running that operator (the
+    differential oracle).  The returned stage's ``wall_seconds`` covers
+    the harvest and kernel precompute as well as the replay.
     """
     from ..galois.activity import Phase
 
-    if not ctx.config.columnar_eval:
-        from ..core.operators import make_eval_operator
-
-        return executor.run(name, items, make_eval_operator(ctx))
     start = time.perf_counter()
     tasks = ctx.cutman.eval_harvest(items)
     merged = eval_tasks_columnar(
@@ -531,19 +457,16 @@ def run_enum_batched(executor, name: str, items: Sequence[int], ctx):
     The replay operator installs the precomputed cut set and charges
     the identical pair count, so phase costs, lock regions and the
     :attr:`~repro.cuts.CutManager.work` trajectory are byte-identical
-    to running the scalar enum operator.  Ineligible roots (and any
-    root whose entry became fresh after an aborted retry) fall back to
-    the enum operator; with ``columnar_enum`` off the stage simply runs
-    the scalar operator (the differential oracle).  The returned
-    stage's ``wall_seconds`` covers the harvest and merge kernel as
-    well as the replay.
+    to running the scalar enum operator (the differential oracle).
+    Ineligible roots (and any root whose entry became fresh after an
+    aborted retry) run the enum operator itself, whose per-node merge
+    is the scalar body.  The returned stage's ``wall_seconds`` covers
+    the harvest and merge kernel as well as the replay.
     """
     from ..core.operators import make_enum_operator
     from ..galois.activity import Phase
 
     enum_op = make_enum_operator(ctx)
-    if not ctx.config.columnar_enum:
-        return executor.run(name, items, enum_op)
     start = time.perf_counter()
     aig = ctx.aig
     cutman = ctx.cutman

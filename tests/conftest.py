@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
 
 from repro.aig import Aig, lit_not
+from repro.core.operators import make_enum_operator, make_eval_operator
 
 
 def random_aig(
@@ -42,3 +44,34 @@ def small_aig() -> Aig:
     aig.add_po(f)
     aig.add_po(g)
     return aig
+
+
+@contextlib.contextmanager
+def scalar_stages(stage: str):
+    """Run the ``"eval"`` or ``"enum"`` stage of every executor through
+    its scalar operator — the reference oracle of the batched stage —
+    for the duration of the block.
+
+    The executors look the batched stage up in
+    :mod:`repro.rewrite.columnar` on every call, so swapping it there
+    reaches every in-process pipeline, sharded or not, but not
+    necessarily a pool worker.  Yields the list of stage names the
+    oracle ran, so callers can check the swap took effect.
+    """
+    from repro.rewrite import columnar
+
+    name = {"eval": "run_eval_batched", "enum": "run_enum_batched"}[stage]
+    make_operator = {"eval": make_eval_operator,
+                     "enum": make_enum_operator}[stage]
+    original = getattr(columnar, name)
+    calls = []
+
+    def oracle(executor, stage_name, items, ctx):
+        calls.append(stage_name)
+        return executor.run(stage_name, items, make_operator(ctx))
+
+    setattr(columnar, name, oracle)
+    try:
+        yield calls
+    finally:
+        setattr(columnar, name, original)

@@ -86,14 +86,13 @@ def _counter(obs, name):
 
 
 class TestChaosMatrix:
-    """Faults aimed at the level stages have nothing to hit: an
-    unsharded process run keeps ``enum`` and ``eval`` in-process, so
-    the plan is never armed — no worker starts, nothing is killed,
-    hung, raised or corrupted — and the run stays byte-identical to
-    the simulated one.  Recovery from each mode is exercised on shard
-    chunks by :class:`TestShardChaos`."""
-
-    BASE = staticmethod(lambda: mtm_like(num_pis=20, num_nodes=500, seed=5))
+    """Faults aimed at the level stages are rejected when the plan is
+    parsed.  The level stages never leave the parent process (an
+    unsharded process run is the simulated run), so a coordinate such
+    as ``raise@eval:0`` could never fire, and a chaos test written
+    with it would test nothing.  Each case keeps its (mode, stage)
+    coordinate and asserts the typed rejection; recovery from every
+    mode is exercised on shard chunks by :class:`TestShardChaos`."""
 
     @pytest.mark.parametrize("mode,stage", [
         ("raise", "eval"),
@@ -104,27 +103,20 @@ class TestChaosMatrix:
         ("hang", "eval"),
     ])
     def test_byte_identity_under_fault(self, mode, stage, monkeypatch):
-        import concurrent.futures
-        import multiprocessing
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a level stage started a pool")
-
-        monkeypatch.setenv("REPRO_FAULT_HANG_SECONDS", HANG_SECONDS)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        base = self.BASE()
-        plain = dacpara_config(workers=8)
-        r_sim, a_sim, _ = _run(base, "simulated", config=plain)
-        cfg = dataclasses.replace(
-            plain, fault_plan=f"{mode}@{stage}:0", chunk_timeout_seconds=1.0,
-        )
-        children_before = set(multiprocessing.active_children())
-        r_proc, a_proc, obs = _run(base, "process", config=cfg)
-        assert set(multiprocessing.active_children()) == children_before
-        assert result_fingerprint(r_proc) == result_fingerprint(r_sim)
-        assert aig_fingerprint(a_proc) == aig_fingerprint(a_sim)
-        for name in FAULT_TOLERANCE_COUNTERS:
-            assert _counter(obs, name) == 0
+        spec = f"{mode}@{stage}:0"
+        with pytest.raises(ValueError, match="stage"):
+            FaultPlan.parse(spec)
+        with pytest.raises(ConfigError, match="stage"):
+            dataclasses.replace(dacpara_config(workers=8), fault_plan=spec)
+        # The environment route is parsed by the pool on its first
+        # fan-out and rejects the same coordinate.
+        monkeypatch.setenv("REPRO_FAULT_PLAN", spec)
+        ex = ProcessExecutor(2, jobs=1)
+        try:
+            with pytest.raises(ValueError, match="stage"):
+                ex._get_fault_plan(dacpara_config())
+        finally:
+            ex.close()
 
     def test_fault_counters_stay_zero_on_healthy_run(self):
         base = mtm_like(num_pis=20, num_nodes=500, seed=5)
@@ -330,28 +322,37 @@ class TestPoisonQuarantine:
 
 class TestFaultPlan:
     def test_parse_and_arm_consume_fires(self):
-        plan = FaultPlan.parse("raise@eval:0; kill@enum:*:2")
-        assert plan.arm("eval", 0) == "raise"
-        assert plan.arm("eval", 0) is None  # single fire consumed
-        assert plan.arm("enum", 3) == "kill"
-        assert plan.arm("enum", 1) == "kill"
-        assert plan.arm("enum", 1) is None
+        plan = FaultPlan.parse("raise@shard:0; kill@shard:*:2")
+        assert plan.arm("shard", 0) == "raise"
+        assert plan.arm("shard", 0) == "kill"  # single raise consumed
+        assert plan.arm("shard", 3) == "kill"
+        assert plan.arm("shard", 1) is None  # both kills consumed
         assert plan.arm("replace", 0) is None
 
     def test_wildcard_stage(self):
         plan = FaultPlan.parse("hang@*:1")
-        assert plan.arm("eval", 0) is None
-        assert plan.arm("enum", 1) == "hang"
+        assert plan.arm("shard", 0) is None
+        assert plan.arm("shard", 1) == "hang"
+        assert FaultPlan.parse("raise@shard:07").arm("shard", 7) == "raise"
 
     def test_empty_and_invalid_specs(self):
         assert FaultPlan.parse(None) is None
         assert FaultPlan.parse("  ") is None
-        with pytest.raises(ValueError):
-            FaultPlan.parse("explode@eval:0")
-        with pytest.raises(ValueError):
-            FaultPlan.parse("raise@eval")
-        with pytest.raises(ConfigError):
-            RewriteConfig(fault_plan="explode@eval:0")
+        for bad, what in [
+            ("explode@shard:0", "mode"),
+            ("raise@shard", "entry"),
+            ("raise@eval:0", "stage"),
+            ("kill@enum:*", "stage"),
+            ("raise@shard:-1", "chunk"),
+            ("raise@shard:x", "chunk"),
+            ("raise@shard:0:0", "fire count"),
+            ("raise@shard:0:-2", "fire count"),
+            ("raise@shard:0:two", "entry"),
+        ]:
+            with pytest.raises(ValueError, match=what):
+                FaultPlan.parse(bad)
+            with pytest.raises(ConfigError, match=what):
+                RewriteConfig(fault_plan=bad)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -362,9 +363,13 @@ class TestFaultPlan:
             RewriteConfig(pool_restart_budget=-1)
         cfg = RewriteConfig(
             chunk_timeout_seconds=1.5, chunk_max_retries=0,
-            pool_restart_budget=0, fault_plan="raise@eval:0",
+            pool_restart_budget=0, fault_plan="raise@shard:0",
         )
         assert cfg.chunk_timeout_seconds == 1.5
+
+    def test_level_stage_fault_plan_is_a_config_error(self):
+        with pytest.raises(ConfigError):
+            RewriteConfig(fault_plan="raise@eval:0")
 
 
 class TestChunkValidator:

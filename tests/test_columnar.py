@@ -2,20 +2,20 @@
 
 ``tests/test_differential_fuzz.py`` pins the engine byte-identical to
 the scalar oracle end-to-end; these tests cover the pieces directly —
-the numpy kernels, the columnar views, the replay glue and the
+the numpy kernels, the live-graph scoring, the replay glue and the
 observer parity — so a regression points at the component, not just
 "a fuzz seed diverged".
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import random
 
 import numpy as np
 import pytest
 
-from repro.aig.snapshot import AigSnapshot
 from repro.bench import mtm_like
 from repro.config import dacpara_config
 from repro.core.operators import StageContext, make_eval_operator
@@ -26,13 +26,14 @@ from repro.library import get_library
 from repro.npn import ensure_canon_lut, npn_canon
 from repro.npn.canon import _TRANSFORMS, npn_canon_batch_rows
 from repro.npn.truth import batch_lift_tt4, expand
+from repro.obs.observer import TracingObserver
 from repro.rewrite.base import eval_tasks_scalar
 from repro.rewrite.columnar import (
     _allowed_mask,
-    columnar_view,
     eval_tasks_columnar,
-    run_eval_batched,
 )
+
+from conftest import scalar_stages
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -85,35 +86,6 @@ class TestKernels:
 
 
 # ---------------------------------------------------------------------------
-# Columnar views
-# ---------------------------------------------------------------------------
-
-
-class TestColumnarView:
-    def test_live_and_snapshot_views_agree(self):
-        aig = mtm_like(num_pis=12, num_nodes=120, seed=2)
-        live = columnar_view(aig)
-        snap = AigSnapshot.capture(aig)
-        cold = columnar_view(snap)
-        for field in ("kind", "fanin0", "fanin1", "nref", "level",
-                      "stamp", "life"):
-            assert list(getattr(live, field)) == list(getattr(cold, field))
-        assert live.strash == cold.strash
-        assert live.size == cold.size == aig.size
-
-    def test_live_view_references_graph_columns(self):
-        aig = mtm_like(num_pis=8, num_nodes=60, seed=1)
-        view = columnar_view(aig)
-        assert view.fanin0 is aig._fanin0  # no copy for a live graph
-        assert view.strash is aig._strash
-
-    def test_snapshot_columns_cached(self):
-        aig = mtm_like(num_pis=8, num_nodes=60, seed=1)
-        snap = AigSnapshot.capture(aig)
-        assert snap.columns() is snap.columns()
-
-
-# ---------------------------------------------------------------------------
 # The batch engine against the scalar oracle
 # ---------------------------------------------------------------------------
 
@@ -129,14 +101,12 @@ def _setup(num_nodes=220, seed=8, num_pis=16, config=None):
 
 
 class TestEvalTasksColumnar:
-    def test_matches_scalar_on_live_and_snapshot(self):
+    def test_matches_scalar_on_live_graph(self):
         aig, _, _, tasks = _setup()
         config = dacpara_config()
         library = get_library()
-        snap = AigSnapshot.capture(aig)
-        want = eval_tasks_scalar(snap, tasks, config, library,
+        want = eval_tasks_scalar(aig, tasks, config, library,
                                  observer=_MetricCollector())
-        assert eval_tasks_columnar(snap, tasks, config, library) == want
         assert eval_tasks_columnar(aig, tasks, config, library) == want
 
     @pytest.mark.parametrize("overrides", [
@@ -149,10 +119,9 @@ class TestEvalTasksColumnar:
         config = dataclasses.replace(dacpara_config(), **overrides)
         aig, _, _, tasks = _setup(num_nodes=150, seed=4, config=config)
         library = get_library()
-        snap = AigSnapshot.capture(aig)
-        want = eval_tasks_scalar(snap, tasks, config, library,
+        want = eval_tasks_scalar(aig, tasks, config, library,
                                  observer=_MetricCollector())
-        assert eval_tasks_columnar(snap, tasks, config, library) == want
+        assert eval_tasks_columnar(aig, tasks, config, library) == want
 
     def test_dead_root_sentinel(self):
         aig, _, live, tasks = _setup(num_nodes=100, seed=6)
@@ -161,9 +130,8 @@ class TestEvalTasksColumnar:
         victim = live[-1]
         aig.replace(victim, aig.fanin0(victim))
         assert aig.is_dead(victim)
-        snap = AigSnapshot.capture(aig)
-        got = eval_tasks_columnar(snap, tasks, config, library)
-        want = eval_tasks_scalar(snap, tasks, config, library,
+        got = eval_tasks_columnar(aig, tasks, config, library)
+        want = eval_tasks_scalar(aig, tasks, config, library,
                                  observer=_MetricCollector())
         assert got == want
         by_root = {root: (cand, units) for root, cand, units in got}
@@ -173,15 +141,12 @@ class TestEvalTasksColumnar:
         aig, _, _, tasks = _setup(num_nodes=180, seed=9)
         config = dacpara_config()
         library = get_library()
-        snap = AigSnapshot.capture(aig)
         col_scalar = _MetricCollector()
         col_batch = _MetricCollector()
-        eval_tasks_scalar(snap, tasks, config, library, observer=col_scalar)
-        eval_tasks_columnar(snap, tasks, config, library, observer=col_batch)
-        batch_only = ("eval_vectorized_candidates_total",
-                      "eval_scalar_fallback_total")
+        eval_tasks_scalar(aig, tasks, config, library, observer=col_scalar)
+        eval_tasks_columnar(aig, tasks, config, library, observer=col_batch)
         shared = {k: v for k, v in col_batch.counts.items()
-                  if k[0] not in batch_only}
+                  if k[0] != "eval_vectorized_candidates_total"}
         assert shared == col_scalar.counts
         # Histogram observations arrive in the exact scalar order (the
         # engine walks tasks in worklist order); the batch-only series
@@ -189,10 +154,9 @@ class TestEvalTasksColumnar:
         sim_obs = [o for o in col_batch.observations
                    if o[0] in ("cuts_per_node", "gain")]
         assert sim_obs == col_scalar.observations
-        # Every structure evaluation on 4-input cuts rides the kernels.
+        # Every structure evaluation rides the kernels.
         vec = col_batch.counts.get(("eval_vectorized_candidates_total", ()), 0)
         assert vec > 0
-        assert col_batch.counts.get(("eval_scalar_fallback_total", ()), 0) == 0
         names = [o[0] for o in col_batch.observations]
         assert names.count("eval_batch_size") == 1
         assert names.count("eval_kernel_seconds") == 2
@@ -200,8 +164,7 @@ class TestEvalTasksColumnar:
 
 class TestRunEvalBatched:
     def _stage(self, columnar: bool):
-        config = dataclasses.replace(dacpara_config(workers=6),
-                                     columnar_eval=columnar)
+        config = dacpara_config(workers=6)
         aig, cutman, live, _ = _setup(num_nodes=200, seed=3, config=config)
         ctx = StageContext(aig=aig, cutman=cutman, library=get_library(),
                            config=config)
@@ -224,20 +187,32 @@ class TestRunEvalBatched:
                 s_sca.useful_units, s_sca.start_time, s_sca.end_time)
 
     def test_columnar_eval_off_routes_to_operator(self):
-        config = dataclasses.replace(dacpara_config(workers=4),
-                                     columnar_eval=False)
-        aig, cutman, live, _ = _setup(num_nodes=80, seed=5, config=config)
-        ctx = StageContext(aig=aig, cutman=cutman, library=get_library(),
-                           config=config)
-        ex = SimulatedExecutor(4)
-        stage = run_eval_batched(ex, "eval", live, ctx)
-        assert stage.committed == len(live)
-        # The oracle path emits no batch telemetry at all.
-        assert all(
-            key[0] not in ("eval_vectorized_candidates_total",
-                           "eval_scalar_fallback_total")
-            for key in getattr(ex.obs, "counts", {})
-        )
+        """With the batched stage swapped for its scalar oracle (what
+        the differential-fuzz eval axis compares against), the eval
+        stage runs the operator and none of the batch kernels."""
+        def batch_series(oracle):
+            config = dacpara_config(workers=4)
+            aig, cutman, live, _ = _setup(num_nodes=80, seed=5,
+                                          config=config)
+            ctx = StageContext(aig=aig, cutman=cutman,
+                               library=get_library(), config=config)
+            obs = TracingObserver()
+            ex = SimulatedExecutor(4, observer=obs)
+            with contextlib.ExitStack() as stack:
+                if oracle:
+                    calls = stack.enter_context(scalar_stages("eval"))
+                stage = ex.run_eval("eval", live, ctx)
+            if oracle:
+                assert calls == ["eval"]
+            assert stage.committed == len(live)
+            names = {name for name, _, _ in obs.metrics.histograms()}
+            names |= {key.split("{")[0]
+                      for key in obs.metrics.snapshot()["counters"]}
+            return names & {"eval_batch_size", "eval_kernel_seconds",
+                            "eval_vectorized_candidates_total"}
+
+        assert batch_series(oracle=False)
+        assert batch_series(oracle=True) == set()
 
     def test_stage_wall_covers_the_kernels(self, monkeypatch):
         """``wall_seconds`` of a batched eval stage starts before the

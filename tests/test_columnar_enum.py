@@ -1,26 +1,28 @@
 """Unit tests for the columnar cut-enumeration engine.
 
-``tests/test_differential_fuzz.py`` pins the engine byte-identical to
-the scalar merge oracle end-to-end; these tests cover the pieces
-directly — the union/sign kernels, the worklist merge, dominance
-ordering, truncation, the cache-bounding satellites and the replay
-glue — so a regression points at the component, not just "a fuzz seed
-diverged".
+The enum stage merges whole worklists with the columnar kernel
+(:meth:`CutManager.merge_tasks_columnar`); the per-node merge behind
+``fresh_cuts`` is the scalar loop, and it is the kernel's oracle.
+``tests/test_differential_fuzz.py`` pins the two byte-identical
+end-to-end; these tests cover the pieces directly — the union/sign
+kernels, the worklist merge, dominance ordering, truncation, the
+cache-bounding satellites and the replay glue — so a regression
+points at the component, not just "a fuzz seed diverged".
 """
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
 import random
 
 import numpy as np
 import pytest
 
-from conftest import random_aig
+from conftest import random_aig, scalar_stages
 from repro.bench import mtm_like
 from repro.config import dacpara_config
 from repro.core.operators import StageContext, make_enum_operator
-from repro.cuts import CutManager, enum_tasks_columnar
+from repro.cuts import CutManager
 from repro.cuts.cut import Cut
 from repro.errors import CutError
 from repro.galois.procpool import _MetricCollector
@@ -31,7 +33,6 @@ from repro.npn.truth import (
     batch_cut_signs,
     batch_union_leaves,
 )
-from repro.rewrite.columnar import run_enum_batched
 
 
 def _pad(leaves):
@@ -78,12 +79,27 @@ class TestKernels:
 
 
 def _enumerate_both(aig, max_cuts=12):
-    scalar = CutManager(aig, k=4, max_cuts=max_cuts, columnar=False)
-    columnar = CutManager(aig, k=4, max_cuts=max_cuts, columnar=True)
+    """Enumerate ``aig`` twice: with the per-node scalar merge
+    (``fresh_cuts`` root by root) and with the worklist kernel, level
+    by level as the enum stage drives it."""
+    scalar = CutManager(aig, k=4, max_cuts=max_cuts)
+    columnar = CutManager(aig, k=4, max_cuts=max_cuts)
     live = aig.topo_ands()
+    levels = {}
     for v in live:
         scalar.fresh_cuts(v)
-        columnar.fresh_cuts(v)
+        levels.setdefault(aig.level(v), []).append(v)
+    for lv in sorted(levels):
+        tasks = []
+        for v in levels[lv]:
+            harvest = columnar.enum_harvest(v)
+            if harvest is None:
+                columnar.fresh_cuts(v)
+            else:
+                tasks.append((v,) + harvest)
+        for root, cuts, pairs in columnar.merge_tasks_columnar(tasks):
+            columnar.install_cuts(root, cuts, work=pairs)
+    assert columnar.vec_pairs > 0  # the kernel actually merged
     return scalar, columnar, live
 
 
@@ -112,7 +128,7 @@ class TestMergeIdentity:
     def test_merge_tasks_columnar_matches_per_task_scalar(self):
         aig = mtm_like(num_pis=16, num_nodes=300, seed=4)
         scalar, columnar, live = _enumerate_both(aig)
-        fresh = CutManager(aig, k=4, max_cuts=12, columnar=True)
+        fresh = CutManager(aig, k=4, max_cuts=12)
         tasks = []
         for v in aig.topo_ands():
             harvest = fresh.enum_harvest(v)
@@ -144,19 +160,14 @@ class TestMergeIdentity:
             cutman.install_cuts(root, cuts, work=pairs)
         assert cutman.work == before + sum(m[2] for m in merged)
 
-    def test_enum_tasks_columnar_entry_point(self):
-        aig = mtm_like(num_pis=12, num_nodes=120, seed=6)
-        config = dacpara_config()
-        cutman = CutManager(aig, k=4, max_cuts=12)
-        tasks = []
-        for v in aig.topo_ands():
-            harvest = cutman.enum_harvest(v)
-            if harvest is not None:
-                tasks.append((v,) + harvest)
-                break
-        got = enum_tasks_columnar(aig, tasks, config)
-        want = cutman.merge_tasks_columnar(tasks)
-        assert got == want
+    def test_pair_counters_split_by_call_site(self):
+        # enum_vectorized_pairs_total counts worklist-kernel pairs,
+        # enum_scalar_fallback_total counts per-node-merge pairs.
+        aig = mtm_like(num_pis=12, num_nodes=150, seed=6)
+        scalar, columnar, _ = _enumerate_both(aig)
+        assert scalar.vec_pairs == 0
+        assert scalar.fallback_pairs == scalar.work > 0
+        assert columnar.vec_pairs + columnar.fallback_pairs == columnar.work
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +207,8 @@ class TestDominanceOrder:
 class TestExpandCacheBound:
     def test_eviction_bounds_cache_and_counts(self):
         aig = mtm_like(num_pis=16, num_nodes=300, seed=3)
-        capped = CutManager(aig, k=4, max_cuts=12, columnar=False,
-                            expand_cache_cap=8)
-        unbounded = CutManager(aig, k=4, max_cuts=12, columnar=False)
+        capped = CutManager(aig, k=4, max_cuts=12, expand_cache_cap=8)
+        unbounded = CutManager(aig, k=4, max_cuts=12)
         for v in aig.topo_ands():
             assert capped.fresh_cuts(v) == unbounded.fresh_cuts(v)
             assert len(capped._expand_cache) <= 8
@@ -207,8 +217,7 @@ class TestExpandCacheBound:
 
     def test_clear_resets_counters(self):
         aig = mtm_like(num_pis=12, num_nodes=120, seed=1)
-        cutman = CutManager(aig, k=4, max_cuts=12, columnar=False,
-                            expand_cache_cap=8)
+        cutman = CutManager(aig, k=4, max_cuts=12, expand_cache_cap=8)
         for v in aig.topo_ands():
             cutman.fresh_cuts(v)
         for v in aig.topo_ands():
@@ -259,12 +268,12 @@ class TestObserverEmissions:
 # ---------------------------------------------------------------------------
 
 
-def _enum_stage(columnar_enum: bool):
-    config = dataclasses.replace(dacpara_config(workers=6),
-                                 columnar_enum=columnar_enum)
+def _enum_stage(batched: bool):
+    """Run every level's enum stage batched (``run_enum``) or through
+    the scalar enum operator (the oracle)."""
+    config = dacpara_config(workers=6)
     aig = mtm_like(num_pis=12, num_nodes=200, seed=3)
-    cutman = CutManager(aig, k=config.cut_size, max_cuts=config.max_cuts,
-                        columnar=columnar_enum)
+    cutman = CutManager(aig, k=config.cut_size, max_cuts=config.max_cuts)
     live = aig.topo_ands()
     ctx = StageContext(aig=aig, cutman=cutman, library=get_library(),
                        config=config)
@@ -274,7 +283,7 @@ def _enum_stage(columnar_enum: bool):
     for v in live:
         levels.setdefault(aig.level(v), []).append(v)
     for lv in sorted(levels):
-        if columnar_enum:
+        if batched:
             stages.append(ex.run_enum("enum", levels[lv], ctx))
         else:
             stages.append(ex.run("enum", levels[lv], make_enum_operator(ctx)))
@@ -284,8 +293,8 @@ def _enum_stage(columnar_enum: bool):
 
 class TestRunEnumBatched:
     def test_replay_byte_identical_to_operator_path(self):
-        s_col, cuts_col, work_col = _enum_stage(columnar_enum=True)
-        s_sca, cuts_sca, work_sca = _enum_stage(columnar_enum=False)
+        s_col, cuts_col, work_col = _enum_stage(batched=True)
+        s_sca, cuts_sca, work_sca = _enum_stage(batched=False)
         assert cuts_col == cuts_sca
         assert work_col == work_sca
         for a, b in zip(s_col, s_sca):
@@ -295,23 +304,38 @@ class TestRunEnumBatched:
                     b.useful_units, b.start_time, b.end_time)
 
     def test_columnar_enum_off_routes_to_operator(self):
-        config = dataclasses.replace(dacpara_config(workers=4),
-                                     columnar_enum=False)
-        aig = mtm_like(num_pis=8, num_nodes=80, seed=5)
-        cutman = CutManager(aig, k=config.cut_size,
-                            max_cuts=config.max_cuts, columnar=False)
-        live = aig.topo_ands()
-        ctx = StageContext(aig=aig, cutman=cutman, library=get_library(),
-                           config=config)
-        ex = SimulatedExecutor(4)
-        stage = run_enum_batched(ex, "enum", live, ctx)
-        assert stage.committed == len(live)
-        assert cutman.vec_pairs == 0
-        # The oracle path emits no batch telemetry at all.
-        assert all(
-            obs[0] not in ("enum_batch_size", "enum_kernel_seconds")
-            for obs in getattr(ex.obs, "observations", [])
-        )
+        """With the batched stage swapped for its scalar oracle (what
+        the differential-fuzz enum axis compares against), the enum
+        stage runs the operator: every merge is a per-node scalar merge
+        and the worklist kernel never runs."""
+        def run(oracle):
+            config = dacpara_config(workers=4)
+            aig = mtm_like(num_pis=8, num_nodes=80, seed=5)
+            cutman = CutManager(aig, k=config.cut_size,
+                                max_cuts=config.max_cuts)
+            ctx = StageContext(aig=aig, cutman=cutman,
+                               library=get_library(), config=config)
+            collector = _MetricCollector()
+            ex = SimulatedExecutor(4, observer=collector)
+            live = aig.topo_ands()
+            with contextlib.ExitStack() as stack:
+                calls = (stack.enter_context(scalar_stages("enum"))
+                         if oracle else [])
+                levels = sorted({aig.level(v) for v in live})
+                for lv in levels:
+                    level = [v for v in live if aig.level(v) == lv]
+                    stage = ex.run_enum("enum", level, ctx)
+                    assert stage.committed == len(level)
+            assert len(calls) == (len(levels) if oracle else 0)
+            kernel = [o for o in collector.observations
+                      if o[0] in ("enum_batch_size", "enum_kernel_seconds")]
+            return cutman, kernel
+
+        batched, kernel = run(oracle=False)
+        assert batched.vec_pairs > 0 and kernel
+        scalar, kernel = run(oracle=True)
+        assert scalar.vec_pairs == 0 and not kernel
+        assert scalar.fallback_pairs == scalar.work == batched.work
 
     def test_stage_wall_covers_the_merge_kernel(self, monkeypatch):
         """``wall_seconds`` of a batched enum stage starts before the

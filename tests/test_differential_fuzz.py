@@ -16,13 +16,18 @@ rewrite through every executor kind.  The oracle is layered:
   (:func:`repro.sat.check_equivalence_auto`; the fuzz circuits keep
   PI counts in exhaustive-simulation range so the check is exact).
 
-A second axis pins the **columnar batch engines** against their scalar
-oracles: full runs with ``columnar_eval`` (and, independently,
-``columnar_enum``) on versus off must be byte-identical on every
-deterministic executor (simulated, serial, process — the pool-sized
-cases also through a sharded process run, so the kernels run inside
-shard workers), and on the
-threaded executor — whose full-run interleaving is
+A second axis pins the **columnar batch engines** — the only
+production eval and enum stages — against their scalar oracles, which
+live here: :func:`scalar_stages` swaps the batched eval (and,
+independently, enum) stage for the scalar operator
+(``make_eval_operator``/``make_enum_operator``) on every executor.
+Full production runs must be byte-identical to oracle runs on every
+deterministic executor (simulated, serial, process).  The pool-sized
+cases add a sharded process run, so the kernels run inside shard
+workers; its oracle run is the sequential ``simulated`` sharded run,
+because the swap is not guaranteed to reach pool workers (and a
+sharded process run is byte-identical to it, pinned by the sharded
+axis).  On the threaded executor — whose full-run interleaving is
 scheduler-dependent — the eval *stage* in isolation must store the
 exact same candidates either way (it is lock-free, so per-root stores
 are interleaving-independent), and the enum *stage* must install the
@@ -45,10 +50,12 @@ with ``pytest tests/test_differential_fuzz.py -m slow``.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import random
 import warnings
+from typing import Optional
 
 import pytest
 
@@ -56,14 +63,18 @@ from repro.aig.check import check
 from repro.bench import mtm_like
 from repro.config import dacpara_config
 from repro.core import DACParaRewriter
-from repro.core.operators import StageContext, make_eval_operator
+from repro.core.operators import (
+    StageContext,
+    make_enum_operator,
+    make_eval_operator,
+)
 from repro.cuts import CutManager
 from repro.galois.threaded import ThreadedExecutor
 from repro.library import get_library
 from repro.obs.observer import TracingObserver
 from repro.sat import check_equivalence_auto
 
-from conftest import random_aig
+from conftest import random_aig, scalar_stages
 from test_procpool import aig_fingerprint, result_fingerprint
 
 SMOKE_SEEDS = tuple(range(12))
@@ -85,18 +96,26 @@ def fuzz_circuit(seed: int):
     )
 
 
-def _run(base, kind: str, workers: int = 5, columnar: bool = True,
-         columnar_enum: bool = True, shards: int = 1):
+def _run(base, kind: str, workers: int = 5, shards: int = 1,
+         oracle: Optional[str] = None):
+    """One full rewrite; ``oracle`` ("eval"/"enum") runs that stage
+    through its scalar oracle (:func:`scalar_stages`)."""
+    if oracle is not None and kind == "process" and shards > 1:
+        kind = "simulated"  # keep the oracle in-process (see above)
     aig = copy.deepcopy(base)
     config = dataclasses.replace(
-        dacpara_config(workers=workers),
-        columnar_eval=columnar, columnar_enum=columnar_enum,
-        shards=shards, shard_min_nodes=1,
+        dacpara_config(workers=workers), shards=shards, shard_min_nodes=1,
     )
     engine = DACParaRewriter(config=config, executor_kind=kind, jobs=2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a silent pool fallback is a bug
-        result = engine.run(aig)
+    with contextlib.ExitStack() as stack:
+        calls = (stack.enter_context(scalar_stages(oracle))
+                 if oracle is not None else None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a silent pool fallback is a bug
+            result = engine.run(aig)
+    if calls is not None:
+        # Only a graph without AND nodes has no stage to swap.
+        assert calls or base.num_ands == 0, f"the {oracle} oracle never ran"
     return result, aig
 
 
@@ -123,9 +142,7 @@ def _threaded_eval_stage_prep(base, columnar: bool):
     per-root prep_info stores (interleaving-independent: the stage is
     lock-free and each activity writes only its own root's slot)."""
     aig = copy.deepcopy(base)
-    config = dataclasses.replace(
-        dacpara_config(workers=4), columnar_eval=columnar
-    )
+    config = dacpara_config(workers=4)
     cutman = CutManager(aig, k=config.cut_size, max_cuts=config.max_cuts)
     live = aig.topo_ands()
     for root in live:
@@ -141,19 +158,15 @@ def _threaded_eval_stage_prep(base, columnar: bool):
     return {v: ctx.prep_info.get(v) for v in live}
 
 
-def _threaded_enum_stage_cuts(base, columnar_enum: bool):
+def _threaded_enum_stage_cuts(base, batched: bool):
     """Run the enum stage alone on the threaded executor, level by
-    level (so the batched path genuinely merges whole worklists);
-    returns every node's installed cut set.  Cut sets are a pure
-    function of the graph, so they are interleaving-independent."""
+    level (so the batched path genuinely merges whole worklists), or
+    through the scalar enum operator; returns every node's installed
+    cut set.  Cut sets are a pure function of the graph, so they are
+    interleaving-independent."""
     aig = copy.deepcopy(base)
-    config = dataclasses.replace(
-        dacpara_config(workers=4), columnar_enum=columnar_enum
-    )
-    cutman = CutManager(
-        aig, k=config.cut_size, max_cuts=config.max_cuts,
-        columnar=columnar_enum,
-    )
+    config = dacpara_config(workers=4)
+    cutman = CutManager(aig, k=config.cut_size, max_cuts=config.max_cuts)
     live = aig.topo_ands()
     ctx = StageContext(
         aig=aig, cutman=cutman, library=get_library(), config=config
@@ -163,7 +176,10 @@ def _threaded_enum_stage_cuts(base, columnar_enum: bool):
     for v in live:
         levels.setdefault(aig.level(v), []).append(v)
     for lv in sorted(levels):
-        ex.run_enum("enum", levels[lv], ctx)
+        if batched:
+            ex.run_enum("enum", levels[lv], ctx)
+        else:
+            ex.run("enum", levels[lv], make_enum_operator(ctx))
     return {v: cutman.fresh_cuts(v) for v in live}
 
 
@@ -175,12 +191,11 @@ POOL_COLUMNAR_RUNS = COLUMNAR_RUNS + (("process", 5, 4),)
 
 def check_enum_differential(base, runs=COLUMNAR_RUNS) -> None:
     """Columnar cut enumeration pinned byte-identical to the scalar
-    merge oracle on every executor kind."""
+    enum operator (the oracle) on every executor kind."""
     for kind, workers, shards in runs:
-        r_col, a_col = _run(base, kind, workers=workers, columnar_enum=True,
-                            shards=shards)
-        r_sca, a_sca = _run(base, kind, workers=workers, columnar_enum=False,
-                            shards=shards)
+        r_col, a_col = _run(base, kind, workers=workers, shards=shards)
+        r_sca, a_sca = _run(base, kind, workers=workers, shards=shards,
+                            oracle="enum")
         assert result_fingerprint(r_col) == result_fingerprint(r_sca), kind
         assert aig_fingerprint(a_col) == aig_fingerprint(a_sca), kind
     assert _threaded_enum_stage_cuts(base, True) == \
@@ -188,13 +203,12 @@ def check_enum_differential(base, runs=COLUMNAR_RUNS) -> None:
 
 
 def check_columnar_differential(base, runs=COLUMNAR_RUNS) -> None:
-    """Batch-kernel eval pinned byte-identical to the scalar oracle on
-    every executor kind."""
+    """Batch-kernel eval pinned byte-identical to the scalar eval
+    operator (the oracle) on every executor kind."""
     for kind, workers, shards in runs:
-        r_col, a_col = _run(base, kind, workers=workers, columnar=True,
-                            shards=shards)
-        r_sca, a_sca = _run(base, kind, workers=workers, columnar=False,
-                            shards=shards)
+        r_col, a_col = _run(base, kind, workers=workers, shards=shards)
+        r_sca, a_sca = _run(base, kind, workers=workers, shards=shards,
+                            oracle="eval")
         assert result_fingerprint(r_col) == result_fingerprint(r_sca), kind
         assert aig_fingerprint(a_col) == aig_fingerprint(a_sca), kind
     assert _threaded_eval_stage_prep(base, columnar=True) == \
@@ -366,7 +380,8 @@ def test_columnar_vs_scalar_smoke(seed):
 @pytest.mark.parametrize("seed", (303,))
 def test_columnar_vs_scalar_pool_sized(seed):
     # Big enough to decompose into shards, so the sharded process run
-    # scores candidates inside pool workers in both modes.
+    # scores candidates inside pool workers (its oracle run scores them
+    # in the sequential sharded pipeline).
     check_columnar_differential(
         mtm_like(num_pis=12, num_nodes=250, seed=seed), POOL_COLUMNAR_RUNS
     )
@@ -380,7 +395,8 @@ def test_columnar_enum_vs_scalar_smoke(seed):
 @pytest.mark.parametrize("seed", (303,))
 def test_columnar_enum_vs_scalar_pool_sized(seed):
     # Big enough to decompose into shards, so the sharded process run
-    # merges cut sets inside pool workers in both modes.
+    # merges cut sets inside pool workers (its oracle run merges them
+    # in the sequential sharded pipeline).
     check_enum_differential(
         mtm_like(num_pis=12, num_nodes=250, seed=seed), POOL_COLUMNAR_RUNS
     )
@@ -389,7 +405,7 @@ def test_columnar_enum_vs_scalar_pool_sized(seed):
 @pytest.mark.parametrize("seed", (101, 202))
 def test_fuzz_pool_sized(seed):
     # Large enough to decompose into shards, so the process executor
-    # actually ships snapshots to the pool instead of running every
+    # actually ships shard chunks to the pool instead of running every
     # shard in-parent.
     base = mtm_like(num_pis=12, num_nodes=250, seed=seed)
     r_sim, a_sim = _run(base, "simulated", shards=4)

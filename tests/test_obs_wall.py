@@ -142,11 +142,12 @@ class TestWallTimeline:
         assert [r["chunk"] for r in wall.flight] == [7, 8, 9]
 
     def test_set_flight_size_keeps_newest(self):
-        wall = WallTimeline(flight_size=8)
+        # The ring depth is set where the timeline is made: the
+        # tracing observer's ``flight_size``.
+        wall = TracingObserver(flight_size=2).wall
         now = time.time()
         for i in range(6):
             wall.add_chunk(_finished_tele(chunk=i), now, time.time())
-        wall.set_flight_size(2)
         assert [r["chunk"] for r in wall.flight] == [4, 5]
 
     def test_dump_flight_snapshots_and_is_bounded(self):
@@ -410,12 +411,19 @@ class TestProcessTelemetry:
         assert 0.0 < gauges["pool_utilization"] <= 1.0
         assert gauges["pool_workers_seen"] >= 1.0
 
-    def test_wall_telemetry_config_switch(self, base_aig):
-        cfg = _sharded(wall_telemetry=False)
+    def test_telemetry_follows_the_observer(self):
+        from repro.galois import ProcessExecutor
+
+        cfg = _sharded()
+        quiet = ProcessExecutor(2, jobs=1)
         obs = TracingObserver()
-        _run(base_aig, "process", cfg, observer=obs)
-        assert obs.wall.chunks == 0
-        assert not obs.wall.worker_pids()
+        traced = ProcessExecutor(2, observer=obs, jobs=1)
+        try:
+            assert quiet._wall_for(cfg) is None
+            assert traced._wall_for(cfg) is obs.wall
+        finally:
+            quiet.close()
+            traced.close()
 
     def test_fault_instants_and_flight_dump(self, base_aig):
         cfg = _sharded(

@@ -1,4 +1,4 @@
-"""Process-pool executor, AIG snapshots, and the vectorized kernels.
+"""Process-pool executor, shard chunk payloads, and the vectorized kernels.
 
 The headline guarantees under test: an unsharded
 ``executor_kind="process"`` run is the simulated run — in-process,
@@ -17,7 +17,6 @@ import warnings
 
 import pytest
 
-from repro.aig import AigSnapshot
 from repro.bench import mtm_like, sin_like, voter_like
 from repro.config import RewriteConfig, dacpara_config
 from repro.core import DACParaRewriter
@@ -35,7 +34,6 @@ from repro.npn import (
     npn_canon_exhaustive,
 )
 from repro.obs.observer import TracingObserver
-from repro.rewrite.base import best_candidate_over_cuts, find_best_candidate
 
 from conftest import random_aig
 
@@ -61,79 +59,36 @@ def result_fingerprint(r):
     )
 
 
-class TestAigSnapshot:
-    def test_read_api_matches_aig(self):
-        aig = random_aig(num_pis=6, num_nodes=120, num_pos=5, seed=11)
-        snap = AigSnapshot.capture(aig)
-        assert snap.size == aig.size
-        assert snap.num_ands == aig.num_ands
-        assert snap.num_pis == aig.num_pis
-        assert tuple(snap.pis) == tuple(aig.pis)
-        assert tuple(snap.pos) == tuple(aig.pos)
-        for v in range(aig.size):
-            assert snap.is_dead(v) == aig.is_dead(v)
-            assert snap.is_and(v) == aig.is_and(v)
-            assert snap.is_pi(v) == aig.is_pi(v)
-            if aig.is_and(v):
-                assert snap.fanin0(v) == aig.fanin0(v)
-                assert snap.fanin1(v) == aig.fanin1(v)
-                assert snap.fanins(v) == aig.fanins(v)
-            if not aig.is_dead(v):
-                assert snap.nref(v) == aig.nref(v)
-                assert snap.level(v) == aig.level(v)
-                assert snap.stamp(v) == aig.stamp(v)
-                assert snap.life_stamp(v) == aig.life_stamp(v)
+class TestShardCapture:
+    """A shard chunk carries the shard plus its owned nodes' fanin
+    pairs, captured from the live graph; that is all a worker needs to
+    rebuild the shard's sub-AIG."""
 
-    def test_strash_probe_matches_aig(self):
-        aig = random_aig(num_pis=6, num_nodes=120, num_pos=5, seed=12)
-        snap = AigSnapshot.capture(aig)
-        rng = random.Random(5)
-        for _ in range(300):
-            a = rng.randrange(2 * aig.size)
-            b = rng.randrange(2 * aig.size)
-            assert snap.has_and(a, b) == aig.has_and(a, b)
+    BASE = staticmethod(lambda: mtm_like(num_pis=12, num_nodes=250, seed=404))
 
-    def test_pickle_round_trip(self):
-        aig = random_aig(num_pis=6, num_nodes=80, num_pos=4, seed=13)
-        snap = AigSnapshot.capture(aig)
-        snap.has_and(2, 4)  # force the lazy strash, excluded from pickling
-        clone = pickle.loads(pickle.dumps(snap))
-        assert aig_fingerprint_snapshot(clone) == aig_fingerprint_snapshot(snap)
-        rng = random.Random(6)
-        for _ in range(100):
-            a = rng.randrange(2 * aig.size)
-            b = rng.randrange(2 * aig.size)
-            assert clone.has_and(a, b) == snap.has_and(a, b)
+    def test_captured_fanins_are_the_owned_nodes_fanins(self):
+        from repro.core.shards import shard_fanins
 
-    def test_candidate_search_identical_on_snapshot(self):
-        aig = mtm_like(num_pis=16, num_nodes=300, seed=2)
-        config = dacpara_config()
-        cutman = CutManager(aig, k=4, max_cuts=12)
-        library = get_library()
-        snap = AigSnapshot.capture(aig)
-        for root in aig.topo_ands():
-            cuts = tuple(cutman.fresh_cuts(root))
-            live = find_best_candidate(aig, root, cutman, library, config)
-            snapped = best_candidate_over_cuts(
-                snap, root, cuts, library, config
+        aig = self.BASE()
+        for _, shard in _plan_shard_tasks(aig):
+            assert shard_fanins(aig, shard) == \
+                [aig.fanins(v) for v in shard.owned]
+
+    def test_rebuild_survives_pickling(self):
+        from repro.aig.simulate import random_simulation
+        from repro.core.shards import build_shard_aig, shard_fanins
+
+        aig = self.BASE()
+        for _, shard in _plan_shard_tasks(aig):
+            fanins = shard_fanins(aig, shard)
+            live, _ = build_shard_aig(shard, fanins)
+            shipped, _ = build_shard_aig(
+                *pickle.loads(pickle.dumps((shard, fanins)))
             )
-            assert (live is None) == (snapped is None)
-            if live is not None:
-                assert live.gain == snapped.gain
-                assert live.structure == snapped.structure
-                assert live.transform == snapped.transform
-                assert live.cut.leaves == snapped.cut.leaves
-
-
-def aig_fingerprint_snapshot(snap):
-    nodes = tuple(
-        sorted(
-            (v, snap.fanin0(v), snap.fanin1(v))
-            for v in range(snap.size)
-            if snap.is_and(v)
-        )
-    )
-    return (nodes, tuple(snap.pis), tuple(snap.pos))
+            assert aig_fingerprint(shipped) == aig_fingerprint(live)
+            assert live.num_ands == len(shard.owned)
+            assert random_simulation(shipped, width=64, seed=3) == \
+                random_simulation(live, width=64, seed=3)
 
 
 class TestCrossExecutorEquivalence:
@@ -371,17 +326,23 @@ def _plan_shard_tasks(aig):
 
 class TestShardFanout:
     """The process executor's one fan-out: whole shards, each chunk a
-    self-contained payload (the pass's pickled snapshot plus one
-    shard's var lists), so workers hold no state between chunks."""
+    self-contained payload (one shard's var lists plus its owned
+    nodes' fanin pairs), so workers hold no state between chunks."""
 
     BASE = staticmethod(lambda: mtm_like(num_pis=12, num_nodes=250, seed=404))
 
     def test_each_chunk_ships_one_snapshot_blob(self):
+        """One pickled blob per chunk, holding only that shard's
+        capture; ``snapshot_bytes_total`` sums them."""
+        from repro.core.shards import shard_fanins
+
         aig = self.BASE()
         tasks = _plan_shard_tasks(aig)
-        blob = pickle.dumps(
-            AigSnapshot.capture(aig), protocol=pickle.HIGHEST_PROTOCOL
-        )
+        blobs = [
+            pickle.dumps([(index, shard, shard_fanins(aig, shard))],
+                         protocol=pickle.HIGHEST_PROTOCOL)
+            for index, shard in tasks
+        ]
         obs = TracingObserver()
         ex = ProcessExecutor(4, observer=obs, jobs=2)
         try:
@@ -390,7 +351,10 @@ class TestShardFanout:
             ex.close()
         assert sorted(index for index, _, _ in merged) == \
             [index for index, _ in tasks]
-        assert ex.snapshot_bytes_total == len(blob) * len(tasks)
+        assert ex.snapshot_bytes_total == sum(len(b) for b in blobs)
+        # A chunk carries its own shard's share of the graph, not the
+        # whole graph.
+        assert max(len(b) for b in blobs) < ex.snapshot_bytes_total
         counters = obs.metrics.snapshot()["counters"]
         assert counters["snapshot_bytes_shipped_total{stage=shard}"] == \
             ex.snapshot_bytes_total
@@ -454,13 +418,15 @@ class TestEnumFanout:
         between fan-outs has never seen the graph, and self-contained
         chunks make that invisible — the payloads match the in-parent
         computation exactly."""
+        from repro.core.shards import shard_fanins
         from repro.galois.procpool import _MetricCollector, _shard_tasks
 
         aig = self.BASE()
         tasks = _plan_shard_tasks(aig)
         config = dacpara_config(workers=4)
+        captured = [(i, shard, shard_fanins(aig, shard)) for i, shard in tasks]
         want = sorted(
-            _shard_tasks(aig, tasks, config, _MetricCollector()),
+            _shard_tasks(captured, config, _MetricCollector()),
             key=lambda entry: entry[0],
         )
         ex = ProcessExecutor(4, jobs=2)
